@@ -49,8 +49,6 @@ struct RunOptions {
   bool trace = false;
   /// Directory for the run's artifact (metrics and sampled spans).
   std::string out_dir = ".bench_out";
-  /// Overrides a workload's offered rate (0 = the workload's constant).
-  double rate = 0.0;
 };
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,7 @@
 // before anything is printed on stdout.
 //
 //   perfbench --workload dashboard_warm|alerts_cold|ingest_subscribe
-//             --seed N --seconds S --trace 0|1 [--out DIR] [--rate QPS]
-//
-// --rate overrides an open-loop workload's offered rate, for probing its
-// capacity when the constants in workloads.cc are re-calibrated.
+//             --seed N --seconds S --trace 0|1 [--out DIR]
 //
 // perfbench/run.py builds this binary and turns its JSON line into the
 // benchmark's result line.
@@ -59,8 +56,6 @@ RunOptions Parse(int argc, char** argv) {
       if (value != "0" && value != "1") Fail("--trace takes 0 or 1");
     } else if (flag == "--out") {
       o.out_dir = value;
-    } else if (flag == "--rate") {
-      o.rate = std::strtod(value.c_str(), &end);
     } else {
       Fail("unknown flag " + flag);
     }

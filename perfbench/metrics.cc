@@ -157,15 +157,6 @@ std::vector<double> RescaledPoissonSchedule(double rate_qps, size_t count,
   return offsets;
 }
 
-double DueLatencyMs(const OpenLoopSample& s) {
-  return std::chrono::duration<double, std::milli>(s.resolved - s.due).count();
-}
-
-double LatenessMs(const OpenLoopSample& s) {
-  return std::chrono::duration<double, std::milli>(s.submitted - s.due)
-      .count();
-}
-
 std::vector<std::optional<double>> MatchAppendsToDeltas(
     const std::vector<AppendEvent>& appends,
     const std::vector<DeltaEvent>& deltas) {

@@ -8,8 +8,8 @@
 //     part of a run cannot move (MedianChunkRate),
 //   * wall-clock self time of trace spans, where the scattered sub-requests
 //     of one query overlap on several shards (Breakdown),
-//   * open-loop latency measured from each request's due time, with
-//     arrival schedules rescaled to offer exactly the configured rate,
+//   * open-loop arrival schedules rescaled to offer exactly the configured
+//     rate,
 //   * append -> subscription-delta matching by data epoch.
 
 #ifndef USTDB_PERFBENCH_METRICS_H_
@@ -106,21 +106,6 @@ Breakdown BreakdownOf(const std::vector<obs::TraceSpan>& spans,
 /// come from the system, not from the draw.
 std::vector<double> RescaledPoissonSchedule(double rate_qps, size_t count,
                                             util::Rng* rng);
-
-/// One open-loop request: when it was due, when the generator actually
-/// submitted it, and when its answer resolved.
-struct OpenLoopSample {
-  Clock::time_point due;
-  Clock::time_point submitted;
-  Clock::time_point resolved;
-};
-
-/// Latency charged to the request: resolved - due, in milliseconds. A
-/// generator stall therefore counts against every request it delays.
-double DueLatencyMs(const OpenLoopSample& s);
-
-/// How late the generator submitted: submitted - due, in milliseconds.
-double LatenessMs(const OpenLoopSample& s);
 
 // ---------------------------------------------------------------------------
 // Append -> delta matching

@@ -120,14 +120,6 @@ TEST(MedianChunkRate, IgnoresAStalledChunk) {
   EXPECT_EQ(MedianChunkRate({At(1)}, 10), 0.0);
 }
 
-TEST(OpenLoop, LatencyCountsFromTheDueTime) {
-  // The generator stalled 2 ms past the due time; the service then took
-  // 3 ms. The request is charged 5 ms, and the stall shows as lateness.
-  const OpenLoopSample s{At(100), At(102), At(105)};
-  EXPECT_NEAR(DueLatencyMs(s), 5.0, 1e-9);
-  EXPECT_NEAR(LatenessMs(s), 2.0, 1e-9);
-}
-
 TEST(OpenLoop, RescaledScheduleOffersTheExactRate) {
   util::Rng a(42);
   util::Rng b(42);
