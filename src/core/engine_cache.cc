@@ -21,23 +21,6 @@ void InjectCacheAdmissionFault() {
 
 }  // namespace
 
-const QueryBasedEngine* EngineCache::Get(const markov::MarkovChain* chain,
-                                         const QueryWindow& window,
-                                         DataVersion epoch) {
-  if (const QueryBasedEngine* hit = Lookup(chain, window, epoch)) return hit;
-  // Standing-query fast path: a cached pass for this window shifted
-  // backward extends in delta steps instead of a cold t_end-step build.
-  Timestamp delta = 0;
-  if (const QueryBasedEngine* base =
-          LookupShiftBase(chain, window, epoch, &delta)) {
-    return Put(chain, window,
-               std::make_unique<QueryBasedEngine>(*base, window, delta),
-               epoch);
-  }
-  return Put(chain, window, std::make_unique<QueryBasedEngine>(chain, window),
-             epoch);
-}
-
 const QueryBasedEngine* EngineCache::Lookup(const markov::MarkovChain* chain,
                                             const QueryWindow& window,
                                             DataVersion epoch) {

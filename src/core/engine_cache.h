@@ -49,36 +49,28 @@ struct EngineCacheStats {
 ///
 /// Keys are (chain pointer, region elements, time set); two windows with
 /// equal content share an entry regardless of how they were built.
-/// Not thread-safe; wrap externally or use one per thread. The batch
-/// executor splits Get() into Lookup() + Put() so that cache bookkeeping
-/// stays on the submitting thread while missed backward passes are built
-/// inside parallel group tasks and inserted after the batch completes.
+/// Not thread-safe; wrap externally or use one per thread. Reading
+/// (Lookup) and admitting (Put) are separate calls on purpose: the
+/// executor borrows every pass a run needs with Lookup(), which never
+/// evicts, builds the misses in parallel, and admits them with Put() only
+/// after evaluation — so no admission can evict a pass still borrowed.
+///
+/// Every store method takes the caller's current `epoch` for the data the
+/// entry derives from (Database::chain_epoch for the engine store,
+/// cluster_epoch for the cluster stores; 0 — the default — for frozen
+/// databases, making the tag a no-op). An entry is served only at the
+/// epoch it was built at: a lookup that finds a stale entry drops it,
+/// counting an invalidation plus the ordinary miss.
 class EngineCache {
  public:
   /// \param capacity maximum number of cached engines (>= 1).
   explicit EngineCache(size_t capacity = 16)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// \brief Returns the engine for (chain, window), building and caching
-  /// it on a miss. The pointer stays valid until the entry is evicted —
-  /// do not hold it across further Get() or Put() calls.
-  ///
-  /// Every store method takes the caller's current `epoch` for the data
-  /// the entry derives from (Database::chain_epoch for the engine store,
-  /// cluster_epoch for the cluster stores; 0 — the default — for frozen
-  /// databases, making the tag a no-op). An entry is served only at the
-  /// epoch it was built at: a lookup that finds a stale entry drops it,
-  /// counting an invalidation plus the ordinary miss. On a Get() miss a
-  /// same-epoch cached engine whose window is this window shifted
-  /// backward is extended by the delta instead of built cold.
-  const QueryBasedEngine* Get(const markov::MarkovChain* chain,
-                              const QueryWindow& window,
-                              DataVersion epoch = 0);
-
   /// \brief Returns the cached engine for (chain, window) or nullptr,
   /// recording a hit or a miss. Never builds and never evicts, so pointers
-  /// returned by earlier Lookup() calls stay valid until the next Get(),
-  /// Put(), or Clear() — the batch executor relies on this to borrow
+  /// returned by earlier Lookup() calls stay valid until the next Put()
+  /// or Clear() — the executor relies on this to borrow
   /// several engines at once without them evicting each other. A stale
   /// entry IS destroyed by the lookup that finds it — safe under the
   /// borrow contract, because batch keys are distinct and a borrow only
@@ -91,8 +83,10 @@ class EngineCache {
   /// `window` shifted backward by some delta >= 1 (same region elements,
   /// every time lower by the same delta), writing the delta, or nullptr.
   /// Prefers the smallest delta (cheapest extension). Counts neither a
-  /// hit nor a miss — callers pair it with a failed Lookup()/Get() that
-  /// already recorded the miss — but counts a shift_extend on success.
+  /// hit nor a miss — callers pair it with a failed Lookup() that already
+  /// recorded the miss — but counts a shift_extend on success. On a
+  /// Lookup() miss the caller extends the base by the delta instead of
+  /// building the pass cold.
   /// Never evicts; the returned borrow obeys Lookup()'s validity rules.
   const QueryBasedEngine* LookupShiftBase(const markov::MarkovChain* chain,
                                           const QueryWindow& window,

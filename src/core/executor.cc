@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -34,6 +35,16 @@ bool NeedsMultiObservation(const UncertainObject& obj) {
 using GroupKey =
     std::tuple<std::vector<uint32_t>, std::vector<Timestamp>, int>;
 
+/// Soundness margin of every bound decision. The envelope sweep
+/// accumulates strictly sequentially, but the exact engines a refine (or
+/// the full-precision twin a degraded answer must never contradict) runs
+/// reassociating dense kernels that only promise ≤1e-12 of that order — so
+/// a slack-free bound can sit a few ulps on the wrong side of the exact
+/// value. Certainty on either side of τ therefore requires clearing it by
+/// this margin; knife-edge objects (τ pinned exactly at a probability)
+/// stay in the refine set, which is always sound.
+constexpr double kKernelParityMargin = 1e-12;
+
 /// Which cooperative stop fired. Workers race to record the first one they
 /// observe; when a cancellation and a deadline trip simultaneously either
 /// status is a faithful answer.
@@ -45,9 +56,9 @@ util::Status StopStatus(StopReason reason) {
              : util::Status::DeadlineExceeded("query deadline exceeded");
 }
 
-/// Submission-time stop check, shared by Run and the RunBatch census: a
-/// request that is already cancelled or past its deadline fails before any
-/// engine is built or object evaluated.
+/// Submission-time stop check of the RunBatch census: a request that is
+/// already cancelled or past its deadline fails before any engine is built
+/// or object evaluated.
 util::Status CheckNotStopped(const QueryRequest& request) {
   if (request.cancel.stop_requested()) {
     return util::Status::Cancelled("query cancelled before execution");
@@ -60,7 +71,7 @@ util::Status CheckNotStopped(const QueryRequest& request) {
   return util::Status::OK();
 }
 
-/// The cooperative stop predicate shared by both evaluation loops: polls
+/// The cooperative stop predicate of every evaluation loop: polls
 /// the request's token and deadline, latching which reason fired first.
 /// Thread-safe; workers racing the latch may each record a reason, any
 /// single observed one is a faithful answer.
@@ -103,13 +114,12 @@ class StopPoller {
 
 }  // namespace
 
-/// Per-run (solo) or per-group (batch), per-chain engine bundle: the
-/// decided plan plus the engines realizing it. QB engines are borrowed
-/// from the cache when possible, owned when the cache cannot hold the
-/// run's working set or a non-default matrix mode is requested (cache
-/// entries are keyed without the mode). The want_* flags are filled by
-/// the batch planner so the group task knows which engines to build;
-/// solo runs build exactly the decided plan's engine and leave them unset.
+/// Per-group, per-chain engine bundle: the decided plan plus the engines
+/// realizing it. QB engines are borrowed from the cache on a hit, owned
+/// when built by this batch (admitted to the cache after evaluation) or
+/// when a non-default matrix mode is requested (cache entries are keyed
+/// without the mode). The want_* flags are filled by the batch planner so
+/// the build phase knows which engines to construct.
 struct QueryExecutor::ChainPlan {
   Plan plan = Plan::kQueryBased;
   bool want_qb = false;
@@ -119,8 +129,8 @@ struct QueryExecutor::ChainPlan {
   std::unique_ptr<QueryBasedEngine> qb_owned;
   std::unique_ptr<ObjectBasedEngine> ob;
   std::unique_ptr<KTimesEngine> ktimes;
-  /// Batch path only: a cache-borrowed same-epoch pass for this window
-  /// shifted backward by qb_shift_delta. The build phase extends it in
+  /// A cache-borrowed same-epoch pass for this window shifted backward by
+  /// qb_shift_delta. The build phase extends it in
   /// delta steps instead of building cold; the borrow stays valid through
   /// the parallel phase because cache bookkeeping (which alone can evict)
   /// happens only on the submitting thread, before and after it.
@@ -128,8 +138,7 @@ struct QueryExecutor::ChainPlan {
   Timestamp qb_shift_delta = 0;
 
   /// The plan this request evaluates the chain with: its pinned plan if
-  /// any, the planner's decision otherwise. Solo runs fold the pin into
-  /// `plan` already, so both paths resolve identically.
+  /// any, the planner's decision otherwise.
   Plan Resolve(const QueryRequest& request) const {
     if (request.plan == PlanChoice::kObjectBased) return Plan::kObjectBased;
     if (request.plan == PlanChoice::kQueryBased) return Plan::kQueryBased;
@@ -147,18 +156,19 @@ struct QueryExecutor::BatchGroup {
   struct Member {
     size_t request_index = 0;
     std::map<ChainId, uint32_t> single_obs_per_chain;
-    uint32_t multi_obs = 0;
-    uint32_t singles = 0;
     /// True once the member's result slot is already filled (stopped
     /// during the bound phase); later phases skip it.
     bool resolved = false;
-    /// kBoundsThenRefine members: the bound pass ran, `refine_ids` is the
-    /// member's evaluated id set (undecided objects only, refined
-    /// query-based) and `prune` holds the bound-phase counters. The
-    /// census fields above are re-taken over the refine set.
+    /// kBoundsThenRefine members: the bound pass ran and `refine_ids` is
+    /// the member's evaluated id set (undecided objects only, refined
+    /// query-based); its counters are in the member's ExecStats::prune.
+    /// The census fields above are re-taken over the refine set.
     bool bounds = false;
     std::vector<ObjectId> refine_ids;
-    PruneStats prune;
+    /// The member's bound pass, stamped when timing is on: its trace gets
+    /// a `bound` span here and `plan` spans around it.
+    std::chrono::steady_clock::time_point bound_begin;
+    std::chrono::steady_clock::time_point bound_end;
   };
   std::vector<Member> members;
 
@@ -178,8 +188,8 @@ struct QueryExecutor::BatchGroup {
 
 /// Shared state of one exists-family evaluation: the cooperative-stop
 /// poller, the first-error latch, and the progress counters. One instance
-/// per solo Run or per batch member; workers touching disjoint object
-/// ranges share it through atomics only.
+/// per batch member; workers touching disjoint object ranges share it
+/// through atomics only.
 struct QueryExecutor::ExistsEval {
   explicit ExistsEval(const QueryRequest& request) : poller(request) {}
 
@@ -199,7 +209,7 @@ struct QueryExecutor::ExistsEval {
   /// single-observation object resolves query-based regardless of the
   /// chain's decided plan (kept probabilities thereby stay bit-identical
   /// to the pure query-based plan's), even when the plans map is shared
-  /// with differently planned batch members.
+  /// with differently planned members.
   bool force_query_based = false;
   std::atomic<bool> failed{false};
   std::atomic<uint32_t> early{0};
@@ -248,8 +258,7 @@ struct QueryExecutor::ObsHandles {
   obs::Counter* objects_refined;
   obs::Counter* objects_early;
   obs::Counter* bound_fallbacks;
-  obs::Counter* runs_solo;
-  obs::Counter* runs_batch;
+  obs::Counter* runs;
 
   explicit ObsHandles(const obs::ObsOptions& options) {
     obs::MetricsRegistry* reg = options.ResolvedRegistry();
@@ -326,10 +335,8 @@ struct QueryExecutor::ObsHandles {
     bound_fallbacks = reg->GetCounter(
         "ustdb_prune_bound_fallbacks_total", base,
         "Requested/chosen bound passes that fell back to per-chain plans");
-    const char* kRuns = "ustdb_exec_runs_total";
-    const char* kRunsHelp = "Executor entry points taken";
-    runs_solo = reg->GetCounter(kRuns, with("kind", "solo"), kRunsHelp);
-    runs_batch = reg->GetCounter(kRuns, with("kind", "batch"), kRunsHelp);
+    runs = reg->GetCounter("ustdb_exec_runs_total", with("kind", "batch"),
+                           "Executor runs (Run is a one-member RunBatch)");
   }
 };
 
@@ -406,10 +413,6 @@ void QueryExecutor::FeedCacheDelta(const EngineCacheStats& before) {
       now.bound_evictions - before.bound_evictions);
 }
 
-void QueryExecutor::FeedStage(obs::Histogram* h, double seconds) {
-  if (obs_ != nullptr) h->Observe(seconds);
-}
-
 util::Status QueryExecutor::ValidateFilter(
     const QueryRequest& request) const {
   if (!request.object_filter.has_value()) return util::Status::OK();
@@ -420,197 +423,6 @@ util::Status QueryExecutor::ValidateFilter(
     }
   }
   return util::Status::OK();
-}
-
-util::Result<QueryResult> QueryExecutor::Run(const QueryRequest& request) {
-  // Fault boundary: injected throws and allocation failures on this
-  // (controlling) thread resolve the run as a transient error. Pool
-  // workers never throw — their error paths feed ExistsEval directly.
-  try {
-    return RunImpl(request);
-  } catch (const util::FaultInjectedError& e) {
-    return util::Status::Unavailable(e.what());
-  } catch (const std::bad_alloc&) {
-    return util::Status::Unavailable(
-        "allocation failed during query execution");
-  }
-}
-
-util::Result<QueryResult> QueryExecutor::RunImpl(
-    const QueryRequest& request) {
-  last_stats_ = {};
-  last_stats_.threads_used = threads_;
-  if (util::Status status = ValidateFilter(request); !status.ok()) {
-    return status;
-  }
-  if (util::Status status = CheckNotStopped(request); !status.ok()) {
-    return status;
-  }
-  EngineCacheStats cache_before;
-  if (obs_ != nullptr) cache_before = cache_.stats();
-  // The epoch this answer reflects. The service's ingest lock keeps the
-  // database frozen for the whole run, so a single stamp taken here is
-  // exact; a frozen (never-appended) database reads 0.
-  const DataVersion run_epoch = db_->data_version();
-  const Selection ids(request, db_->num_objects());
-  util::Result<QueryResult> result =
-      request.degrade == DegradeMode::kBoundsOnly
-          ? RunDegradedBounds(request, ids)
-          : (request.predicate == PredicateKind::kKTimes
-                 ? RunKTimes(request, ids)
-                 : RunExistsFamily(request, ids));
-  if (result.ok()) result->epoch = run_epoch;
-  if (obs_ != nullptr) {
-    // One feed per run: counters from the run's ExecStats (partial
-    // counters of a stopped run included — that work happened), cache
-    // events as the delta over the whole run.
-    obs_->runs_solo->Add(1);
-    FeedRunStats(last_stats_);
-    FeedCacheDelta(cache_before);
-  }
-  return result;
-}
-
-util::Result<QueryResult> QueryExecutor::RunExistsFamily(
-    const QueryRequest& request, const Selection& ids) {
-  QueryResult result;
-  result.stats.threads_used = threads_;
-
-  using SClock = std::chrono::steady_clock;
-  const bool timing = TimingOn(request);
-  const SClock::time_point t0 = timing ? SClock::now() : SClock::time_point();
-
-  const bool forall = request.predicate == PredicateKind::kForAll;
-  // PST∀Q runs as PST∃Q on the complemented region (Section VII).
-  const QueryWindow window =
-      forall ? request.window.WithComplementRegion() : request.window;
-
-  // --- Plan phase: decide per chain class, then build engines. -----------
-  std::map<ChainId, uint32_t> single_obs_per_chain;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const UncertainObject& obj = db_->object(ids[i]);
-    if (!NeedsMultiObservation(obj)) ++single_obs_per_chain[obj.chain];
-  }
-
-  // Threshold requests may route through the Section V-C cluster bound
-  // pass before any per-chain planning — cost-based under kAuto, forced
-  // by kBoundsThenRefine. A window whose time set is not one contiguous
-  // range cannot be bounded; a forced bound plan then falls back to the
-  // per-chain path below, observably (prune.bound_fallbacks).
-  if (request.predicate == PredicateKind::kThresholdExists &&
-      (request.plan == PlanChoice::kAuto ||
-       request.plan == PlanChoice::kBoundsThenRefine)) {
-    if (!window.has_contiguous_times()) {
-      if (request.plan == PlanChoice::kBoundsThenRefine) {
-        ++result.stats.prune.bound_fallbacks;
-      }
-    } else {
-      std::vector<ChainLoad> loads;
-      loads.reserve(single_obs_per_chain.size());
-      for (const auto& [chain, count] : single_obs_per_chain) {
-        loads.push_back({chain, count});
-      }
-      const PlanDecision bound_decision = planner_.ChooseThresholdPlan(
-          window, request.matrix_mode, request.plan, loads);
-      if (bound_decision.plan == Plan::kBoundsThenRefine) {
-        return RunBoundsThenRefine(request, ids, window);
-      }
-    }
-  }
-
-  std::map<ChainId, ChainPlan> plans;
-  for (const auto& [chain, count] : single_obs_per_chain) {
-    plans[chain].plan = planner_.Choose(chain, request, count).plan;
-  }
-  const SClock::time_point t1 = timing ? SClock::now() : SClock::time_point();
-  if (util::FaultInjector* fi = util::FaultInjector::Active()) {
-    USTDB_RETURN_NOT_OK(fi->Inject(util::FaultPoint::kEngineBuild));
-  }
-  const EngineCacheStats cache_before = cache_.stats();
-  BuildExistsEngines(request, window, &plans, &result.stats);
-  const SClock::time_point t2 = timing ? SClock::now() : SClock::time_point();
-
-  // --- Execution phase: per-object evaluation, parallel across objects. --
-  std::vector<double> probs;
-  std::vector<uint8_t> keep;
-  EvalCounters counters;
-  util::Status status = EvaluateExistsObjects(request, window, ids, plans,
-                                              &probs, &keep, &counters);
-  result.stats.prune.objects_decided_early = counters.early_stops;
-  result.stats.objects_evaluated = counters.singles;
-  result.stats.objects_multi_observation = counters.multis;
-  last_stats_ = result.stats;
-  if (timing) {
-    const SClock::time_point t3 = SClock::now();
-    FeedStage(obs_ != nullptr ? obs_->stage_plan : nullptr,
-              std::chrono::duration<double>(t1 - t0).count());
-    FeedStage(obs_ != nullptr ? obs_->stage_build : nullptr,
-              std::chrono::duration<double>(t2 - t1).count());
-    FeedStage(obs_ != nullptr ? obs_->stage_evaluate : nullptr,
-              std::chrono::duration<double>(t3 - t2).count());
-    if (request.trace != nullptr) {
-      const int32_t shard = obs_ != nullptr ? obs_->shard : -1;
-      char detail[64];
-      std::snprintf(detail, sizeof(detail),
-                    "cache_hits=%llu,misses=%llu",
-                    static_cast<unsigned long long>(cache_.stats().hits -
-                                                    cache_before.hits),
-                    static_cast<unsigned long long>(cache_.stats().misses -
-                                                    cache_before.misses));
-      request.trace->Record(obs::Stage::kPlan, t0, t1, shard);
-      request.trace->Record(obs::Stage::kEngineBuild, t1, t2, shard, detail);
-      std::snprintf(detail, sizeof(detail), "objects=%u",
-                    counters.singles + counters.multis);
-      request.trace->Record(obs::Stage::kEvaluate, t2, t3, shard, detail);
-    }
-  }
-  if (!status.ok()) return status;
-
-  AssembleExistsResult(request, ids, probs, keep, &result);
-  return result;
-}
-
-void QueryExecutor::BuildExistsEngines(const QueryRequest& request,
-                                       const QueryWindow& window,
-                                       std::map<ChainId, ChainPlan>* plans,
-                                       ExecStats* stats) {
-  // The cache serves QB chains only for the default matrix mode (cached
-  // engines are built with it), and only as many chains as fit at once —
-  // Get() pointers are invalidated by eviction, so entries borrowed by
-  // this run must never evict each other. Overflow chains degrade to
-  // owned, uncached engines instead of losing caching wholesale.
-  const bool cacheable = request.matrix_mode == MatrixMode::kImplicit;
-  size_t cache_slots = cacheable ? cache_.capacity() : 0;
-  const EngineCacheStats before = cache_.stats();
-  for (auto& [chain_id, cp] : *plans) {
-    const markov::MarkovChain& chain = db_->chain(chain_id);
-    if (cp.plan == Plan::kQueryBased) {
-      ++stats->chains_query_based;
-      if (cache_slots > 0) {
-        --cache_slots;
-        cp.qb = cache_.Get(&chain, window, db_->chain_epoch(chain_id));
-      } else {
-        cp.qb_owned = std::make_unique<QueryBasedEngine>(
-            &chain, window, QueryBasedOptions{.mode = request.matrix_mode});
-        cp.qb = cp.qb_owned.get();
-      }
-    } else {
-      ++stats->chains_object_based;
-      cp.ob = std::make_unique<ObjectBasedEngine>(
-          &chain, window, ObjectBasedOptions{.mode = request.matrix_mode});
-      if (request.matrix_mode == MatrixMode::kExplicit) {
-        // Force the lazily built M−/M+ before threads share the engine.
-        (void)cp.ob->augmented();
-      }
-    }
-  }
-  stats->cache_hits += cache_.stats().hits - before.hits;
-  stats->cache_misses += cache_.stats().misses - before.misses;
-  stats->cache_evictions += cache_.stats().evictions - before.evictions;
-  stats->cache_invalidations +=
-      cache_.stats().invalidations - before.invalidations;
-  stats->cache_shift_extends +=
-      cache_.stats().shift_extends - before.shift_extends;
 }
 
 void QueryExecutor::PartitionByCluster(
@@ -627,58 +439,54 @@ void QueryExecutor::PartitionByCluster(
   }
 }
 
+util::Result<const std::vector<markov::ProbBound>*>
+QueryExecutor::ClusterBounds(uint32_t cluster_index, const QueryWindow& window,
+                             bool with_lower) {
+  const ChainCluster& cluster = db_->chain_clusters()[cluster_index];
+  const ChainId leader = cluster.leader;
+  const uint32_t num_members = static_cast<uint32_t>(cluster.members.size());
+  // Cluster stores are tagged with the cluster's epoch: a mutation of any
+  // member chain's object drops this cluster's entries lazily while every
+  // other cluster keeps its envelope and bound passes.
+  const DataVersion epoch = db_->cluster_epoch(cluster_index);
+  if (const std::vector<markov::ProbBound>* bounds =
+          cache_.LookupBounds(leader, num_members, window, epoch)) {
+    return bounds;
+  }
+  const markov::IntervalMarkovChain* envelope =
+      cache_.LookupEnvelope(leader, num_members, epoch);
+  if (envelope == nullptr) {
+    std::vector<const markov::MarkovChain*> members;
+    members.reserve(cluster.members.size());
+    for (ChainId c : cluster.members) members.push_back(&db_->chain(c));
+    USTDB_ASSIGN_OR_RETURN(markov::IntervalMarkovChain built,
+                           markov::IntervalMarkovChain::FromChains(members));
+    envelope =
+        cache_.PutEnvelope(leader, num_members, std::move(built), epoch);
+  }
+  return cache_.PutBounds(
+      leader, num_members, window,
+      envelope->BoundExists(window.region(), window.t_begin(), window.t_end(),
+                            with_lower),
+      epoch);
+}
+
 util::Status QueryExecutor::BoundClusters(
     const QueryRequest& request, const QueryWindow& window,
     const std::map<uint32_t, std::vector<ObjectId>>& cluster_objects,
     std::vector<ObjectId>* refine, PruneStats* prune) {
   StopPoller poller(request);
+  const double drop_below = request.tau - kKernelParityMargin;
   for (const auto& [cluster_index, objects] : cluster_objects) {
     // Clusters are the bound pass's unit of progress: a cancellation or
     // deadline observed here abandons the remaining clusters unbounded.
     if (poller.ShouldStop()) return poller.ToStatus();
-
-    const ChainCluster& cluster = db_->chain_clusters()[cluster_index];
-    const ChainId leader = cluster.leader;
-    const uint32_t num_members =
-        static_cast<uint32_t>(cluster.members.size());
-    // Cluster stores are tagged with the cluster's epoch: a mutation of
-    // any member chain's object drops this cluster's entries lazily while
-    // every other cluster keeps its envelope and bound passes.
-    const DataVersion epoch = db_->cluster_epoch(cluster_index);
-    const std::vector<markov::ProbBound>* bounds =
-        cache_.LookupBounds(leader, num_members, window, epoch);
-    if (bounds == nullptr) {
-      const markov::IntervalMarkovChain* envelope =
-          cache_.LookupEnvelope(leader, num_members, epoch);
-      if (envelope == nullptr) {
-        std::vector<const markov::MarkovChain*> members;
-        members.reserve(cluster.members.size());
-        for (ChainId c : cluster.members) members.push_back(&db_->chain(c));
-        USTDB_ASSIGN_OR_RETURN(
-            markov::IntervalMarkovChain built,
-            markov::IntervalMarkovChain::FromChains(members));
-        envelope = cache_.PutEnvelope(leader, num_members, std::move(built),
-                                      epoch);
-      }
-      // Upper bounds only: the drop test below never reads lo, and
-      // skipping the lower propagation halves the bound pass.
-      bounds = cache_.PutBounds(
-          leader, num_members, window,
-          envelope->BoundExists(window.region(), window.t_begin(),
-                                window.t_end(), /*with_lower=*/false),
-          epoch);
-    }
-
+    // Upper bounds only: the drop test below never reads lo, and skipping
+    // the lower propagation halves the bound pass.
+    USTDB_ASSIGN_OR_RETURN(
+        const std::vector<markov::ProbBound>* bounds,
+        ClusterBounds(cluster_index, window, /*with_lower=*/false));
     ++prune->clusters_bounded;
-    // The envelope sweep accumulates strictly sequentially, but the exact
-    // engines the refine stage reuses run reassociating dense kernels that
-    // only promise ≤1e-12 of that order — so a slack-free upper bound can
-    // sit a few ulps *below* the value refinement would report. Shaving
-    // the kernels' parity bound off the drop threshold keeps knife-edge
-    // objects (τ pinned exactly at a probability) in the refine set, which
-    // is always sound: refined objects get their exact probability.
-    constexpr double kKernelParityMargin = 1e-12;
-    const double drop_below = request.tau - kKernelParityMargin;
     bool any_refined = false;
     for (ObjectId id : objects) {
       const UncertainObject& obj = db_->object(id);
@@ -701,99 +509,11 @@ util::Status QueryExecutor::BoundClusters(
   return poller.ToStatus();
 }
 
-util::Result<QueryResult> QueryExecutor::RunBoundsThenRefine(
-    const QueryRequest& request, const Selection& ids,
-    const QueryWindow& window) {
-  QueryResult result;
-  result.stats.threads_used = threads_;
-  PruneStats& prune = result.stats.prune;
-
-  using SClock = std::chrono::steady_clock;
-  const bool timing = TimingOn(request);
-  const SClock::time_point b0 = timing ? SClock::now() : SClock::time_point();
-
-  // --- Bound phase: group evaluated objects by chain cluster and decide
-  // them against the cluster's interval bound. Multi-observation objects
-  // (and observations not at t=0) skip straight to refinement — the
-  // t=0 bound pass does not cover them.
-  std::map<uint32_t, std::vector<ObjectId>> cluster_objects;
-  std::vector<ObjectId> refine_ids;
-  PartitionByCluster(ids, &cluster_objects, &refine_ids);
-  prune.clusters_total = static_cast<uint32_t>(cluster_objects.size());
-  if (util::Status status = BoundClusters(request, window, cluster_objects,
-                                          &refine_ids, &prune);
-      !status.ok()) {
-    last_stats_ = result.stats;
-    return status;
-  }
-  prune.objects_refined = static_cast<uint32_t>(refine_ids.size());
-  const SClock::time_point b1 = timing ? SClock::now() : SClock::time_point();
-
-  // --- Refine phase: one query-based engine per undecided chain, then
-  // the normal threshold evaluation loop (strided sub-chunks, cooperative
-  // stops) over exactly the undecided objects. Query-based refinement
-  // keeps every surviving probability bit-identical to the pure
-  // query-based plan's.
-  std::map<ChainId, ChainPlan> plans;
-  for (ObjectId id : refine_ids) {
-    const UncertainObject& obj = db_->object(id);
-    if (!NeedsMultiObservation(obj)) {
-      plans[obj.chain].plan = Plan::kQueryBased;
-    }
-  }
-  if (util::FaultInjector* fi = util::FaultInjector::Active()) {
-    if (util::Status status = fi->Inject(util::FaultPoint::kEngineBuild);
-        !status.ok()) {
-      last_stats_ = result.stats;
-      return status;
-    }
-  }
-  BuildExistsEngines(request, window, &plans, &result.stats);
-  const SClock::time_point b2 = timing ? SClock::now() : SClock::time_point();
-
-  const Selection refine_sel(&refine_ids);
-  std::vector<double> probs;
-  std::vector<uint8_t> keep;
-  EvalCounters counters;
-  util::Status status =
-      EvaluateExistsObjects(request, window, refine_sel, plans, &probs,
-                            &keep, &counters, /*refine_query_based=*/true);
-  result.stats.prune.objects_decided_early = counters.early_stops;
-  result.stats.objects_evaluated = counters.singles;
-  result.stats.objects_multi_observation = counters.multis;
-  last_stats_ = result.stats;
-  if (timing) {
-    const SClock::time_point b3 = SClock::now();
-    FeedStage(obs_ != nullptr ? obs_->stage_bound : nullptr,
-              std::chrono::duration<double>(b1 - b0).count());
-    FeedStage(obs_ != nullptr ? obs_->stage_build : nullptr,
-              std::chrono::duration<double>(b2 - b1).count());
-    FeedStage(obs_ != nullptr ? obs_->stage_evaluate : nullptr,
-              std::chrono::duration<double>(b3 - b2).count());
-    if (request.trace != nullptr) {
-      const int32_t shard = obs_ != nullptr ? obs_->shard : -1;
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "pruned=%u,refined=%u",
-                    prune.objects_decided_by_bounds, prune.objects_refined);
-      request.trace->Record(obs::Stage::kBound, b0, b1, shard, detail);
-      request.trace->Record(obs::Stage::kEngineBuild, b1, b2, shard);
-      std::snprintf(detail, sizeof(detail), "objects=%u",
-                    counters.singles + counters.multis);
-      request.trace->Record(obs::Stage::kEvaluate, b2, b3, shard, detail);
-    }
-  }
-  if (!status.ok()) return status;
-
-  AssembleExistsResult(request, refine_sel, probs, keep, &result);
-  return result;
-}
-
 util::Result<QueryResult> QueryExecutor::RunDegradedBounds(
-    const QueryRequest& request, const Selection& ids) {
+    const QueryRequest& request, const Selection& ids, ExecStats* stats) {
   QueryResult result;
   result.degraded_bounds = true;
-  result.stats.threads_used = threads_;
-  PruneStats& prune = result.stats.prune;
+  PruneStats& prune = stats->prune;
 
   // Only the t=0 cluster bound pass can decide anything without running
   // engines; everything outside its reach — other predicates,
@@ -814,48 +534,15 @@ util::Result<QueryResult> QueryExecutor::RunDegradedBounds(
   }
 
   StopPoller poller(request);
-  // Same soundness margin as BoundClusters: the full-precision twin this
-  // answer must never contradict is computed by reassociating kernels
-  // that promise only 1e-12 of the sequential value, so certainty on
-  // either side requires clearing τ by that margin.
-  constexpr double kKernelParityMargin = 1e-12;
   for (const auto& [cluster_index, objects] : cluster_objects) {
-    if (poller.ShouldStop()) {
-      last_stats_ = result.stats;
-      return poller.ToStatus();
-    }
-    const ChainCluster& cluster = db_->chain_clusters()[cluster_index];
-    const ChainId leader = cluster.leader;
-    const uint32_t num_members =
-        static_cast<uint32_t>(cluster.members.size());
-    const DataVersion epoch = db_->cluster_epoch(cluster_index);
-    const std::vector<markov::ProbBound>* bounds =
-        cache_.LookupBounds(leader, num_members, request.window, epoch);
-    if (bounds == nullptr) {
-      const markov::IntervalMarkovChain* envelope =
-          cache_.LookupEnvelope(leader, num_members, epoch);
-      if (envelope == nullptr) {
-        std::vector<const markov::MarkovChain*> members;
-        members.reserve(cluster.members.size());
-        for (ChainId c : cluster.members) members.push_back(&db_->chain(c));
-        USTDB_ASSIGN_OR_RETURN(
-            markov::IntervalMarkovChain built,
-            markov::IntervalMarkovChain::FromChains(members));
-        envelope = cache_.PutEnvelope(leader, num_members, std::move(built),
-                                      epoch);
-      }
-      // With lower bounds: unlike the refining plan, the degraded answer
-      // certifies inclusion from lo. (A cached upper-only pass left by a
-      // full-precision run reads lo = 0 — still sound, every would-be-
-      // certain object just lands in `undecided`.)
-      bounds = cache_.PutBounds(
-          leader, num_members, request.window,
-          envelope->BoundExists(request.window.region(),
-                                request.window.t_begin(),
-                                request.window.t_end(),
-                                /*with_lower=*/true),
-          epoch);
-    }
+    if (poller.ShouldStop()) return poller.ToStatus();
+    // With lower bounds: unlike the refining plan, the degraded answer
+    // certifies inclusion from lo. (A cached upper-only pass left by a
+    // full-precision run reads lo = 0 — still sound, every would-be-
+    // certain object just lands in `undecided`.)
+    USTDB_ASSIGN_OR_RETURN(
+        const std::vector<markov::ProbBound>* bounds,
+        ClusterBounds(cluster_index, request.window, /*with_lower=*/true));
     ++prune.clusters_bounded;
     bool any_undecided = false;
     for (ObjectId id : objects) {
@@ -885,7 +572,6 @@ util::Result<QueryResult> QueryExecutor::RunDegradedBounds(
   const auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
   std::sort(result.probabilities.begin(), result.probabilities.end(), by_id);
   std::sort(result.undecided.begin(), result.undecided.end(), by_id);
-  last_stats_ = result.stats;
   return result;
 }
 
@@ -959,33 +645,6 @@ void QueryExecutor::EvaluateExistsRange(
   }
 }
 
-util::Status QueryExecutor::EvaluateExistsObjects(
-    const QueryRequest& request, const QueryWindow& window,
-    const Selection& ids, const std::map<ChainId, ChainPlan>& plans,
-    std::vector<double>* probs, std::vector<uint8_t>* keep,
-    EvalCounters* counters, bool refine_query_based) {
-  probs->assign(ids.size(), 0.0);
-  // Threshold qualification, decided where the probability is computed:
-  // OB objects by the τ-run's verdict, everything else by comparison.
-  keep->assign(ids.size(), 1);
-
-  // ev is polled between kStopCheckStride-object sub-chunks on every
-  // worker; an error, a tripped cancellation token, or a passed deadline
-  // makes every worker abandon its remaining objects at the next check.
-  ExistsEval ev(request);
-  ev.force_query_based = refine_query_based;
-  pool_.ParallelChunksUntil(
-      ids.size(), [&] { return ev.ShouldStop(); },
-      [&](size_t begin, size_t end) {
-        EvaluateExistsRange(request, window, ids, plans, begin, end, probs,
-                            keep, &ev);
-      });
-  counters->early_stops = ev.early.load();
-  counters->singles = ev.singles.load();
-  counters->multis = ev.multis.load();
-  return ev.Finish();
-}
-
 void QueryExecutor::AssembleExistsResult(const QueryRequest& request,
                                          const Selection& ids,
                                          const std::vector<double>& probs,
@@ -1034,63 +693,6 @@ void QueryExecutor::AssembleExistsResult(const QueryRequest& request,
   }
 }
 
-util::Result<QueryResult> QueryExecutor::RunKTimes(
-    const QueryRequest& request, const Selection& ids) {
-  QueryResult result;
-  result.stats.threads_used = threads_;
-
-  using SClock = std::chrono::steady_clock;
-  const bool timing = TimingOn(request);
-  const SClock::time_point k0 = timing ? SClock::now() : SClock::time_point();
-
-  // PSTkQ has no backward formulation in the paper: the per-chain forward
-  // engine runs regardless of the plan directive, shared across the
-  // chain's objects like a QB pass but paying one recursion per object.
-  if (util::FaultInjector* fi = util::FaultInjector::Active()) {
-    USTDB_RETURN_NOT_OK(fi->Inject(util::FaultPoint::kEngineBuild));
-  }
-  std::map<ChainId, ChainPlan> plans;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const UncertainObject& obj = db_->object(ids[i]);
-    if (NeedsMultiObservation(obj)) {
-      return util::Status::Unimplemented(
-          "PSTkQ under multiple observations is not covered by the paper's "
-          "framework; remove multi-observation objects or query PST∃Q");
-    }
-    ChainPlan& cp = plans[obj.chain];
-    if (cp.ktimes == nullptr) {
-      cp.ktimes = std::make_unique<KTimesEngine>(
-          &db_->chain(obj.chain), request.window,
-          KTimesOptions{.mode = request.matrix_mode});
-    }
-  }
-  result.stats.chains_object_based = static_cast<uint32_t>(plans.size());
-  const SClock::time_point k1 = timing ? SClock::now() : SClock::time_point();
-
-  uint32_t evaluated = 0;
-  util::Status status = EvaluateKTimesObjects(request, ids, plans,
-                                              &result.distributions,
-                                              &evaluated);
-  result.stats.objects_evaluated = evaluated;
-  last_stats_ = result.stats;
-  if (timing) {
-    const SClock::time_point k2 = SClock::now();
-    FeedStage(obs_ != nullptr ? obs_->stage_build : nullptr,
-              std::chrono::duration<double>(k1 - k0).count());
-    FeedStage(obs_ != nullptr ? obs_->stage_evaluate : nullptr,
-              std::chrono::duration<double>(k2 - k1).count());
-    if (request.trace != nullptr) {
-      const int32_t shard = obs_ != nullptr ? obs_->shard : -1;
-      char detail[32];
-      std::snprintf(detail, sizeof(detail), "objects=%u", evaluated);
-      request.trace->Record(obs::Stage::kEngineBuild, k0, k1, shard);
-      request.trace->Record(obs::Stage::kEvaluate, k1, k2, shard, detail);
-    }
-  }
-  if (!status.ok()) return status;
-  return result;
-}
-
 void QueryExecutor::EvaluateKTimesRange(
     const Selection& ids, const std::map<ChainId, ChainPlan>& plans,
     size_t begin, size_t end, std::vector<ObjectKTimes>* distributions,
@@ -1103,48 +705,55 @@ void QueryExecutor::EvaluateKTimesRange(
   }
 }
 
-util::Status QueryExecutor::EvaluateKTimesObjects(
-    const QueryRequest& request, const Selection& ids,
-    const std::map<ChainId, ChainPlan>& plans,
-    std::vector<ObjectKTimes>* distributions, uint32_t* evaluated) {
-  distributions->resize(ids.size());
-  KTimesEval ev(request);
-  pool_.ParallelChunksUntil(
-      ids.size(), [&] { return ev.poller.ShouldStop(); },
-      [&](size_t begin, size_t end) {
-        EvaluateKTimesRange(ids, plans, begin, end, distributions, &ev);
-      });
-  *evaluated = ev.done.load();
-  return ev.poller.ToStatus();
+util::Result<QueryResult> QueryExecutor::Run(const QueryRequest& request) {
+  return std::move(RunBatch({&request, 1}).front());
 }
 
 std::vector<util::Result<QueryResult>> QueryExecutor::RunBatch(
     std::span<const QueryRequest> requests) {
-  // Fault boundary mirroring Run(): a throw on the submitting thread
-  // fails every member transiently instead of crashing. Pool tasks
-  // (engine builds, evaluation subtasks) never throw.
+  // Every member's telemetry, kept whether the member answers, fails or
+  // stops: this one record becomes the answer's stats, the registry feed
+  // and last_run_stats().
+  std::vector<ExecStats> stats(requests.size());
+  for (ExecStats& s : stats) s.threads_used = threads_;
+  EngineCacheStats cache_before;
+  if (obs_ != nullptr) cache_before = cache_.stats();
+
+  // Fault boundary: injected throws and allocation failures on this
+  // (controlling) thread fail every member transiently instead of
+  // crashing. Pool tasks (engine builds, evaluation subtasks) never throw —
+  // their error paths feed ExistsEval directly.
+  std::vector<util::Result<QueryResult>> results;
+  const auto fail_all = [&](const util::Status& status) {
+    results.clear();
+    for (size_t i = 0; i < requests.size(); ++i) results.emplace_back(status);
+  };
   try {
-    return RunBatchImpl(requests);
-  } catch (...) {
-    util::Status status = util::Status::Unavailable(
-        "allocation failed during batch execution");
-    try {
-      throw;
-    } catch (const util::FaultInjectedError& e) {
-      status = util::Status::Unavailable(e.what());
-    } catch (const std::bad_alloc&) {
-    }
-    std::vector<util::Result<QueryResult>> results;
-    results.reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      results.emplace_back(status);
-    }
-    return results;
+    results = RunBatchImpl(requests, &stats);
+  } catch (const util::FaultInjectedError& e) {
+    fail_all(util::Status::Unavailable(e.what()));
+  } catch (const std::bad_alloc&) {
+    fail_all(util::Status::Unavailable(
+        "allocation failed during query execution"));
   }
+
+  // One feed per member: partial counters of a stopped member included —
+  // that work happened. Cache events are fed once, as the whole batch's
+  // delta, never from the per-member attributed stats.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    FeedRunStats(stats[i]);
+    if (results[i].ok()) results[i]->stats = stats[i];
+  }
+  if (obs_ != nullptr) {
+    obs_->runs->Add(1);
+    FeedCacheDelta(cache_before);
+  }
+  if (!stats.empty()) last_stats_ = stats.back();
+  return results;
 }
 
 std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
-    std::span<const QueryRequest> requests) {
+    std::span<const QueryRequest> requests, std::vector<ExecStats>* stats) {
   std::vector<util::Result<QueryResult>> results;
   results.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -1152,19 +761,32 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   }
   if (requests.empty()) return results;
 
+  // Stage clocks are read only when metrics are on or some member carries
+  // a trace: the "off" side of the overhead contract reads no clock.
   using SClock = std::chrono::steady_clock;
   bool timing = obs_ != nullptr;
   for (const QueryRequest& request : requests) {
-    if (request.trace != nullptr) {
-      timing = true;
-      break;
-    }
+    timing = timing || request.trace != nullptr;
   }
-  const SClock::time_point g0 = timing ? SClock::now() : SClock::time_point();
-  EngineCacheStats batch_cache_before;
-  if (obs_ != nullptr) batch_cache_before = cache_.stats();
+  const auto now = [timing] {
+    return timing ? SClock::now() : SClock::time_point();
+  };
+  const auto seconds = [](SClock::time_point from, SClock::time_point to) {
+    return std::chrono::duration<double>(to - from).count();
+  };
+  const int32_t shard = obs_ != nullptr ? obs_->shard : -1;
+  const SClock::time_point g0 = now();
+  // Bound passes run inside the plan window [g0, g1); each is observed
+  // under stage="bound" and its time is left out of stage="plan".
+  double bound_seconds = 0.0;
+  const auto observe_bound = [&](SClock::time_point from,
+                                 SClock::time_point to) {
+    bound_seconds += seconds(from, to);
+    if (obs_ != nullptr) obs_->stage_bound->Observe(seconds(from, to));
+  };
   // One epoch stamp for every member: the service's ingest lock keeps the
-  // database frozen across the whole batch.
+  // database frozen across the whole batch, so a frozen (never-appended)
+  // database reads 0.
   const DataVersion run_epoch = db_->data_version();
 
   // --- Group phase: census each request, bucket by (window, mode). -------
@@ -1186,8 +808,10 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     // Degraded members never need engines: answer them from the cached
     // cluster bounds right here (cheap) and keep them out of the groups.
     if (request.degrade == DegradeMode::kBoundsOnly) {
-      const Selection degraded_ids(request, db_->num_objects());
-      results[i] = RunDegradedBounds(request, degraded_ids);
+      const SClock::time_point d0 = now();
+      results[i] = RunDegradedBounds(
+          request, Selection(request, db_->num_objects()), &(*stats)[i]);
+      if (timing) observe_bound(d0, SClock::now());
       continue;
     }
     BatchGroup::Member member;
@@ -1205,14 +829,13 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
           unsupported = true;
           break;
         }
-        ++member.multi_obs;
       } else {
         ++member.single_obs_per_chain[obj.chain];
-        ++member.singles;
       }
     }
     if (unsupported) continue;
 
+    // PST∀Q runs as PST∃Q on the complemented region (Section VII).
     const QueryWindow window =
         request.predicate == PredicateKind::kForAll
             ? request.window.WithComplementRegion()
@@ -1229,11 +852,17 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     }
     groups[it->second].members.push_back(std::move(member));
   }
+  for (const BatchGroup& group : groups) {
+    for (const BatchGroup::Member& member : group.members) {
+      (*stats)[member.request_index].batch_group_members =
+          static_cast<uint32_t>(group.members.size());
+    }
+  }
 
   // --- Plan phase (submitting thread): one decision per (group, chain),
   // amortized over the group's members, plus cache lookups. Engine builds
-  // are deferred into the group tasks so backward passes of distinct
-  // groups run concurrently. ----------------------------------------------
+  // are deferred into the build phase so backward passes of distinct
+  // chains and groups run concurrently. ------------------------------------
   for (BatchGroup& group : groups) {
     // Bound phase: threshold members eligible for the Section V-C plan
     // run their cluster bound pass now, on the submitting thread, and
@@ -1241,14 +870,17 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     // and bound pass are memoized in the cache, so members sharing this
     // group's window pay the pass once; the cluster stores are disjoint
     // from the QB store, so these insertions can never evict backward
-    // passes borrowed below.
+    // passes borrowed below. A window whose time set is not one
+    // contiguous range cannot be bounded; a forced bound plan then falls
+    // back to per-chain planning, observably (prune.bound_fallbacks).
     for (BatchGroup::Member& member : group.members) {
       const QueryRequest& request = requests[member.request_index];
       if (request.predicate != PredicateKind::kThresholdExists) continue;
       const bool forced = request.plan == PlanChoice::kBoundsThenRefine;
       if (!forced && request.plan != PlanChoice::kAuto) continue;
+      PruneStats& prune = (*stats)[member.request_index].prune;
       if (!group.window.has_contiguous_times()) {
-        if (forced) ++member.prune.bound_fallbacks;
+        if (forced) ++prune.bound_fallbacks;
         continue;
       }
       std::vector<ChainLoad> loads;
@@ -1263,46 +895,40 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
         continue;
       }
 
-      const SClock::time_point mb0 = request.trace != nullptr
-                                         ? SClock::now()
-                                         : SClock::time_point();
+      const SClock::time_point mb0 = now();
       const Selection ids(request, db_->num_objects());
       std::map<uint32_t, std::vector<ObjectId>> cluster_objects;
       PartitionByCluster(ids, &cluster_objects, &member.refine_ids);
-      member.prune.clusters_total =
-          static_cast<uint32_t>(cluster_objects.size());
-      if (util::Status status =
-              BoundClusters(request, group.window, cluster_objects,
-                            &member.refine_ids, &member.prune);
-          !status.ok()) {
+      prune.clusters_total = static_cast<uint32_t>(cluster_objects.size());
+      util::Status status = BoundClusters(
+          request, group.window, cluster_objects, &member.refine_ids, &prune);
+      if (timing) {
+        member.bound_begin = mb0;
+        member.bound_end = SClock::now();
+        observe_bound(mb0, member.bound_end);
+      }
+      if (!status.ok()) {
         results[member.request_index] = std::move(status);
         member.resolved = true;
         continue;
       }
-      member.prune.objects_refined =
-          static_cast<uint32_t>(member.refine_ids.size());
+      prune.objects_refined = static_cast<uint32_t>(member.refine_ids.size());
       member.bounds = true;
-      // Re-census over the refine set so plan loads, engine wants, and
-      // wave sizing all see the shrunken member.
+      // Re-census over the refine set so plan loads and engine wants see
+      // the shrunken member.
       member.single_obs_per_chain.clear();
-      member.singles = 0;
-      member.multi_obs = 0;
       for (ObjectId id : member.refine_ids) {
         const UncertainObject& obj = db_->object(id);
-        if (NeedsMultiObservation(obj)) {
-          ++member.multi_obs;
-        } else {
+        if (!NeedsMultiObservation(obj)) {
           ++member.single_obs_per_chain[obj.chain];
-          ++member.singles;
         }
       }
       if (request.trace != nullptr) {
         char detail[64];
         std::snprintf(detail, sizeof(detail), "pruned=%u,refined=%u",
-                      member.prune.objects_decided_by_bounds,
-                      member.prune.objects_refined);
-        request.trace->Record(obs::Stage::kBound, mb0, SClock::now(),
-                              obs_ != nullptr ? obs_->shard : -1, detail);
+                      prune.objects_decided_by_bounds, prune.objects_refined);
+        request.trace->Record(obs::Stage::kBound, mb0, member.bound_end,
+                              shard, detail);
       }
     }
 
@@ -1313,6 +939,8 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       for (const auto& [chain, count] : member.single_obs_per_chain) {
         ChainPlan& cp = group.plans[chain];
         if (request.predicate == PredicateKind::kKTimes) {
+          // PSTkQ has no backward formulation in the paper: the per-chain
+          // forward engine runs regardless of the plan directive.
           cp.want_ktimes = true;
         } else if (member.bounds) {
           cp.want_qb = true;  // refinement is always query-based
@@ -1366,14 +994,11 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     group.cache_shift_extends =
         cache_.stats().shift_extends - before.shift_extends;
   }
-  // Batch stage attribution: the member bound passes above run on the
-  // submitting thread inside this plan window, so the aggregate plan timer
-  // covers them; traced members additionally get an exact kBound span.
-  const SClock::time_point g1 = timing ? SClock::now() : SClock::time_point();
+  const SClock::time_point g1 = now();
 
-  // Engine-build fault point for the batch path, fired on the submitting
-  // thread (pool build tasks have no error channel and must not throw): a
-  // failure here fails every not-yet-resolved member transiently.
+  // Engine-build fault point, fired on the submitting thread (pool build
+  // tasks have no error channel and must not throw): a failure here fails
+  // every not-yet-resolved member transiently.
   if (util::FaultInjector* fi = util::FaultInjector::Active()) {
     if (util::Status status = fi->Inject(util::FaultPoint::kEngineBuild);
         !status.ok()) {
@@ -1436,18 +1061,17 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       }
     }
   });
-  const SClock::time_point g2 = timing ? SClock::now() : SClock::time_point();
+  const SClock::time_point g2 = now();
   SClock::time_point last_wave_end = g2;
 
   // --- Execution phase: flatten the per-object evaluation of every
   // member of every group into object-range subtasks of kStopCheckStride
   // objects and spread them across the pool. A batch concentrated on one
-  // window — a dashboard refresh — therefore still saturates all workers
-  // instead of serializing its members on one. Results are unaffected by
-  // the split: every object's output is written independently, exactly as
-  // in the solo path's ParallelChunksUntil loop, and each subtask
-  // re-checks its member's cancellation token and deadline first,
-  // preserving the cooperative-stop stride.
+  // window — a dashboard refresh, or a single request — therefore still
+  // saturates all workers. Results are unaffected by the split: every
+  // object's output is written independently, and each subtask re-checks
+  // its member's cancellation token and deadline first, which is the
+  // cooperative-stop stride.
   //
   // Members run in *waves* whose combined object count is bounded, so
   // per-member scratch (probs/keep/distributions) peaks at roughly the
@@ -1504,7 +1128,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   }
   // Per-group flag: the group's cache-stat deltas go to the first member
   // whose result is actually stored — attributing them to a member that
-  // then fails would drop them, and aggregating members would no longer
+  // then fails would drop them, and aggregating answers would no longer
   // reconcile with cache_stats(). Persistent across waves, since a
   // group's members may span several.
   std::vector<uint8_t> cache_stats_attributed(groups.size(), 0);
@@ -1551,8 +1175,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
             {&me, b, std::min(me.ids.size(), b + util::kStopCheckStride)});
       }
     }
-    const SClock::time_point w0 =
-        timing ? SClock::now() : SClock::time_point();
+    const SClock::time_point w0 = now();
     pool_.ParallelChunks(subtasks.size(), [&](size_t begin, size_t end) {
       for (size_t s = begin; s < end; ++s) {
         const SubTask& task = subtasks[s];
@@ -1571,112 +1194,102 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
         }
       }
     });
-    const SClock::time_point w1 =
-        timing ? SClock::now() : SClock::time_point();
-    if (timing) last_wave_end = w1;
+    const SClock::time_point w1 = now();
+    last_wave_end = w1;
 
-    // Assembly (calling thread): convert this wave's evaluation state
-    // into result slots, in batch order, then drop the wave's scratch.
+    // Assembly (calling thread): record this wave's progress in each
+    // member's stats (stopped and failed members included), convert
+    // answered members into result slots in batch order, then drop the
+    // wave's scratch.
     size_t exec_index = 0;
     for (size_t i = next_member; i < wave_end; ++i) {
       const MemberRef& mr = member_order[i];
-      BatchGroup& group = groups[mr.group_index];
+      const BatchGroup& group = groups[mr.group_index];
       const BatchGroup::Member& member = *mr.member;
       MemberExec& me = execs[exec_index++];
-      const auto attach_cache_stats = [&](QueryResult* result) {
-        result->stats.cache_hits = group.cache_hits;
-        result->stats.cache_misses = group.cache_misses;
-        result->stats.cache_invalidations = group.cache_invalidations;
-        result->stats.cache_shift_extends = group.cache_shift_extends;
-        cache_stats_attributed[mr.group_index] = 1;
-      };
-      // One registry feed per successfully answered member (cache events
-      // are fed once for the whole batch below, not here), plus the
-      // member's trace spans: the shared plan/build phases and its wave's
-      // evaluation window.
-      const auto feed_member = [&](const QueryResult& r) {
-        FeedRunStats(r.stats);
-        if (me.request.trace == nullptr) return;
-        const int32_t shard = obs_ != nullptr ? obs_->shard : -1;
-        char detail[40];
-        std::snprintf(detail, sizeof(detail), "batch_members=%u",
-                      r.stats.batch_group_members);
-        me.request.trace->Record(obs::Stage::kPlan, g0, g1, shard, detail);
-        me.request.trace->Record(obs::Stage::kEngineBuild, g1, g2, shard);
-        std::snprintf(detail, sizeof(detail), "subtasks=%u",
-                      r.stats.group_subtasks);
-        me.request.trace->Record(obs::Stage::kEvaluate, w0, w1, shard,
-                                 detail);
-      };
+      ExecStats& st = (*stats)[member.request_index];
       if (me.ids.size() == 0) {
         // Zero-object members never reach a subtask's cooperative stop
         // check; poll once here so a cancellation or expiry while the
-        // batch ran still resolves with its stop status, as the old
-        // sequential member loop did.
+        // batch ran still resolves with its stop status.
         if (me.ktimes) {
           (void)me.ktimes_ev->poller.ShouldStop();
         } else {
           (void)me.exists_ev->ShouldStop();
         }
       }
-      QueryResult result;
-      result.stats.threads_used = threads_;
-      result.stats.batch_group_members =
-          static_cast<uint32_t>(group.members.size());
-      result.stats.group_subtasks = me.subtasks.load();
-
+      st.group_subtasks = me.subtasks.load();
+      util::Status status = util::Status::OK();
       if (me.ktimes) {
-        if (util::Status status = me.ktimes_ev->poller.ToStatus();
-            !status.ok()) {
-          results[member.request_index] = std::move(status);
-          continue;
-        }
-        result.stats.chains_object_based =
+        status = me.ktimes_ev->poller.ToStatus();
+        st.chains_object_based =
             static_cast<uint32_t>(member.single_obs_per_chain.size());
-        result.stats.objects_evaluated = me.ktimes_ev->done.load();
-        result.distributions = std::move(me.distributions);
-        if (cache_stats_attributed[mr.group_index] == 0) {
-          attach_cache_stats(&result);
+        st.objects_evaluated = me.ktimes_ev->done.load();
+      } else {
+        status = me.exists_ev->Finish();
+        for (const auto& [chain, count] : member.single_obs_per_chain) {
+          (void)count;
+          const Plan plan = me.exists_ev->force_query_based
+                                ? Plan::kQueryBased
+                                : group.plans.at(chain).Resolve(me.request);
+          ++(plan == Plan::kQueryBased ? st.chains_query_based
+                                       : st.chains_object_based);
         }
-        feed_member(result);
-        results[member.request_index] = std::move(result);
-        continue;
+        st.prune.objects_decided_early = me.exists_ev->early.load();
+        st.objects_evaluated = me.exists_ev->singles.load();
+        st.objects_multi_observation = me.exists_ev->multis.load();
       }
-
-      if (util::Status status = me.exists_ev->Finish(); !status.ok()) {
+      if (me.request.trace != nullptr) {
+        // The member's spans: the shared plan window (around its own
+        // bound span, if it ran one), the shared build phase, and its
+        // wave's evaluation window.
+        char detail[64];
+        std::snprintf(detail, sizeof(detail), "batch_members=%u",
+                      st.batch_group_members);
+        if (member.bounds) {
+          me.request.trace->Record(obs::Stage::kPlan, g0, member.bound_begin,
+                                   shard, detail);
+          me.request.trace->Record(obs::Stage::kPlan, member.bound_end, g1,
+                                   shard, detail);
+        } else {
+          me.request.trace->Record(obs::Stage::kPlan, g0, g1, shard, detail);
+        }
+        std::snprintf(detail, sizeof(detail), "cache_hits=%llu,misses=%llu",
+                      static_cast<unsigned long long>(group.cache_hits),
+                      static_cast<unsigned long long>(group.cache_misses));
+        me.request.trace->Record(obs::Stage::kEngineBuild, g1, g2, shard,
+                                 detail);
+        std::snprintf(detail, sizeof(detail), "objects=%u,subtasks=%u",
+                      st.objects_evaluated + st.objects_multi_observation,
+                      st.group_subtasks);
+        me.request.trace->Record(obs::Stage::kEvaluate, w0, w1, shard,
+                                 detail);
+      }
+      if (!status.ok()) {
         results[member.request_index] = std::move(status);
         continue;
       }
-      for (const auto& [chain, count] : member.single_obs_per_chain) {
-        (void)count;
-        const Plan plan = me.exists_ev->force_query_based
-                              ? Plan::kQueryBased
-                              : group.plans.at(chain).Resolve(me.request);
-        if (plan == Plan::kQueryBased) {
-          ++result.stats.chains_query_based;
-        } else {
-          ++result.stats.chains_object_based;
-        }
-      }
-      // Bound-phase counters (zero for non-bounds members, except a
-      // possible forced-plan fallback) merge with the evaluation loop's
-      // early-termination count.
-      result.stats.prune = member.prune;
-      result.stats.prune.objects_decided_early = me.exists_ev->early.load();
-      result.stats.objects_evaluated = me.exists_ev->singles.load();
-      result.stats.objects_multi_observation = me.exists_ev->multis.load();
-      AssembleExistsResult(me.request, me.ids, me.probs, me.keep, &result);
       if (cache_stats_attributed[mr.group_index] == 0) {
-        attach_cache_stats(&result);
+        st.cache_hits = group.cache_hits;
+        st.cache_misses = group.cache_misses;
+        st.cache_invalidations = group.cache_invalidations;
+        st.cache_shift_extends = group.cache_shift_extends;
+        cache_stats_attributed[mr.group_index] = 1;
       }
-      feed_member(result);
+      QueryResult result;
+      if (me.ktimes) {
+        result.distributions = std::move(me.distributions);
+      } else {
+        AssembleExistsResult(me.request, me.ids, me.probs, me.keep, &result);
+      }
       results[member.request_index] = std::move(result);
     }
     next_member = wave_end;
   }
 
   // --- Admission phase: publish freshly built backward passes so the next
-  // refresh of the same dashboard hits a warm cache. -----------------------
+  // refresh of the same dashboard hits a warm cache. Only now, with every
+  // member evaluated, may an admission evict a pass this batch borrowed. --
   for (BatchGroup& group : groups) {
     if (group.mode != MatrixMode::kImplicit) continue;
     for (ChainId chain_id : group.qb_to_build) {
@@ -1688,19 +1301,26 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     }
   }
 
-  for (util::Result<QueryResult>& r : results) {
-    if (r.ok()) r->epoch = run_epoch;
+  // Final stop check: an answer is never returned after its deadline. A
+  // member whose deadline passed while the batch finished (admission runs
+  // after evaluation and may stall) resolves DeadlineExceeded.
+  std::optional<SClock::time_point> done;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (!results[i].ok()) continue;
+    if (const auto& deadline = requests[i].deadline; deadline.has_value()) {
+      if (!done.has_value()) done = SClock::now();
+      if (*done >= *deadline) {
+        results[i] = StopStatus(StopReason::kDeadline);
+        continue;
+      }
+    }
+    results[i]->epoch = run_epoch;
   }
 
   if (obs_ != nullptr) {
-    obs_->runs_batch->Add(1);
-    FeedCacheDelta(batch_cache_before);
-    FeedStage(obs_->stage_plan,
-              std::chrono::duration<double>(g1 - g0).count());
-    FeedStage(obs_->stage_build,
-              std::chrono::duration<double>(g2 - g1).count());
-    FeedStage(obs_->stage_evaluate,
-              std::chrono::duration<double>(last_wave_end - g2).count());
+    obs_->stage_plan->Observe(std::max(0.0, seconds(g0, g1) - bound_seconds));
+    obs_->stage_build->Observe(seconds(g1, g2));
+    obs_->stage_evaluate->Observe(seconds(g2, last_wave_end));
   }
   return results;
 }

@@ -1,8 +1,8 @@
 // Copyright 2026 the ustdb authors.
 //
 // QueryExecutor — the single execution pipeline behind every query entry
-// point. One Run(QueryRequest) call evaluates any predicate (∃ / ∀ /
-// k-times / threshold-τ / top-k) with:
+// point. RunBatch() evaluates any mix of predicates (∃ / ∀ / k-times /
+// threshold-τ / top-k) with:
 //
 //   * cost-based plan selection per chain class (QueryPlanner),
 //   * object-level parallelism on a persistent thread pool,
@@ -16,15 +16,12 @@
 //   * automatic routing of multi-observation objects through the
 //     Section VI engine.
 //
-// RunBatch() accepts a whole dashboard refresh at once: requests are
-// grouped by (effective window, matrix mode), each group shares one
-// backward pass (and one engine of every other kind it needs) across all
-// of its members, and groups execute in parallel on the pool. The
-// amortization the paper's query-based plan promises across *objects*
-// thus extends across *requests*.
-//
-// The legacy facades — QueryProcessor, ParallelExists, ThresholdExists* —
-// are thin wrappers over this class.
+// Requests are grouped by (effective window, matrix mode), each group
+// shares one backward pass (and one engine of every other kind it needs)
+// across all of its members, and groups execute in parallel on the pool.
+// The amortization the paper's query-based plan promises across *objects*
+// thus extends across *requests*. Run() is a RunBatch() of one member:
+// there is one path to plan, cache, trace and fault-inject.
 
 #ifndef USTDB_CORE_EXECUTOR_H_
 #define USTDB_CORE_EXECUTOR_H_
@@ -49,8 +46,8 @@ namespace core {
 struct ExecutorOptions {
   /// Worker threads for per-object evaluation; 0 = one per hardware
   /// context, 1 = fully sequential (no threads spawned — bit-identical to
-  /// the sequential facades by construction, since per-object arithmetic
-  /// is independent either way).
+  /// any other thread count, since per-object arithmetic is independent
+  /// either way).
   unsigned num_threads = 0;
   /// Capacity of the query-based engine cache. Sized for the number of
   /// distinct (chain, window) pairs a monitoring deployment keeps hot.
@@ -87,29 +84,26 @@ class QueryExecutor {
 
   ~QueryExecutor();
 
-  /// \brief Evaluates `request`; see QueryResult for per-predicate output
-  /// conventions. Fails with kInvalidArgument on out-of-range filter ids
-  /// and with kUnimplemented for PSTkQ over multi-observation objects
-  /// (outside the paper's framework).
+  /// \brief Evaluates `request`: the single result of RunBatch() over that
+  /// one request, so every rule below applies to it. See QueryResult for
+  /// per-predicate output conventions. Fails with kInvalidArgument on
+  /// out-of-range filter ids and with kUnimplemented for PSTkQ over
+  /// multi-observation objects (outside the paper's framework). Its stats
+  /// report batch_group_members == 1 and, once it evaluated any object,
+  /// group_subtasks >= 1.
   ///
-  /// Cooperative stops: the parallel loop polls request.cancel and checks
-  /// request.deadline between kStopCheckStride-object sub-chunks; a
-  /// tripped token resolves the run with Status::Cancelled, a passed
-  /// deadline with Status::DeadlineExceeded, in both cases leaving the
-  /// remaining objects unevaluated (last_run_stats() shows the partial
-  /// progress).
+  /// Cooperative stops: evaluation polls request.cancel and checks
+  /// request.deadline before every kStopCheckStride-object subtask (the
+  /// bound pass, before every cluster); a tripped token resolves the run
+  /// with Status::Cancelled, a passed deadline with
+  /// Status::DeadlineExceeded, in both cases leaving the remaining objects
+  /// unevaluated (last_run_stats() shows the partial progress).
   ///
   /// Complexity per chain class: one pass is O(t_end × nnz); the
   /// object-based plan pays one pass per object, the query-based plan one
   /// pass per chain plus one sparse dot product per object (zero passes
   /// when the engine cache holds the window). Objects run in parallel on
   /// the executor's pool; results are bit-identical across thread counts.
-  ///
-  /// Fault boundary: a FaultInjectedError or std::bad_alloc escaping the
-  /// run's controlling thread (engine build, cache admission) is caught
-  /// here and resolves the run with kUnavailable — transient and
-  /// retryable, never a crash. Requests with degrade == kBoundsOnly
-  /// answer from the Section V-C interval bounds alone (see DegradeMode).
   util::Result<QueryResult> Run(const QueryRequest& request);
 
   /// \brief Evaluates a batch of requests, amortizing shared work, and
@@ -135,20 +129,31 @@ class QueryExecutor {
   /// every worker instead of one. Members are evaluated in waves whose
   /// combined object count is bounded, so per-member scratch peaks at the
   /// wave budget rather than O(batch × objects). Each subtask re-checks
-  /// its member's cancellation token and deadline before running,
-  /// preserving the solo path's cooperative-stop stride;
-  /// ExecStats::group_subtasks reports the splits taken per member. Cached backward passes are borrowed before
-  /// the parallel phases and newly built ones are inserted after, so
-  /// repeated refreshes of the same dashboard hit a warm cache exactly
-  /// like repeated Run() calls.
+  /// its member's cancellation token and deadline before running;
+  /// ExecStats::group_subtasks reports the splits taken per member. Cached
+  /// backward passes are borrowed with EngineCache::Lookup(), which never
+  /// evicts, and newly built ones are admitted only after evaluation, so
+  /// no borrowed pass can be evicted mid-run, and repeated refreshes of
+  /// the same dashboard hit a warm cache. A member whose deadline passes
+  /// before the batch returns (admission may stall) resolves
+  /// DeadlineExceeded: no answer is returned after its deadline.
   ///
-  /// Each member's result is the same as a solo Run() of that request —
-  /// bit-identical whenever the solo run would pick the same plan (always
-  /// true for pinned plans; for kAuto the batch cost model may upgrade an
+  /// Each member's result is the same as a Run() of that request alone —
+  /// bit-identical whenever both pick the same plan (always true for
+  /// pinned plans; for kAuto the batch cost model may upgrade an
   /// object-based chain to the shared query-based pass, which changes the
   /// result only within floating-point rounding of the same exact value).
   /// Failures are per member: one invalid request does not poison the
-  /// batch. An empty span yields an empty vector.
+  /// batch. Every member's ExecStats is kept whatever its outcome: it is
+  /// the answered member's QueryResult::stats, the registry feed, and
+  /// (for the last member) last_run_stats(). An empty span yields an
+  /// empty vector.
+  ///
+  /// Fault boundary: a FaultInjectedError or std::bad_alloc escaping the
+  /// controlling thread (engine build, cache admission) is caught here and
+  /// fails every member with kUnavailable — transient and retryable,
+  /// never a crash. Requests with degrade == kBoundsOnly answer from the
+  /// Section V-C interval bounds alone (see DegradeMode).
   std::vector<util::Result<QueryResult>> RunBatch(
       std::span<const QueryRequest> requests);
 
@@ -166,15 +171,17 @@ class QueryExecutor {
   /// \brief Telemetry of the most recent Run(), including runs that failed
   /// or were stopped mid-flight — whose Result carries no QueryResult to
   /// hold stats. A cancelled run's objects_evaluated counts only the
-  /// objects answered before the stop, so a caller can prove the loop quit
-  /// early by comparing against an uncancelled twin. Solo Run() only;
-  /// RunBatch members report through their own QueryResult::stats.
+  /// objects answered before the stop (and its prune counters only the
+  /// clusters bounded before it), so a caller can prove the loop quit
+  /// early by comparing against an uncancelled twin. After a multi-member
+  /// RunBatch it holds the last member's stats; answered members also
+  /// report through their own QueryResult::stats.
   ///
-  /// Thread contract: `last_stats_` is plain data written by Run() with no
-  /// synchronization — valid only from the Run-calling thread, after Run
-  /// returns. Reading it while another thread is inside Run() is a data
-  /// race; concurrent observers get the same information race-free from
-  /// the obs::MetricsRegistry the executor feeds.
+  /// Thread contract: `last_stats_` is plain data written by RunBatch()
+  /// with no synchronization — valid only from the Run-calling thread,
+  /// after Run returns. Reading it while another thread is inside Run() is
+  /// a data race; concurrent observers get the same information race-free
+  /// from the obs::MetricsRegistry the executor feeds.
   const ExecStats& last_run_stats() const { return last_stats_; }
 
   /// Drops every cached engine. Not needed after AppendObservation
@@ -191,47 +198,28 @@ class QueryExecutor {
   unsigned num_threads() const { return threads_; }
 
  private:
-  struct ChainPlan;   // per-run or per-group, per-chain engine bundle
+  struct ChainPlan;   // per-group, per-chain engine bundle
   struct BatchGroup;  // requests sharing (effective window, matrix mode)
   class Selection;    // non-allocating view of the ids a request evaluates
   struct ExistsEval;  // shared stop/error/counter state of one evaluation
   struct KTimesEval;  // ditto for the k-times evaluation loop
   struct ObsHandles;  // resolved metric handles (null when obs disabled)
 
-  /// True when this run should read stage clocks: metrics are on, or the
-  /// request carries a trace. The "off" side of the overhead contract
-  /// reads no clock at all.
-  bool TimingOn(const QueryRequest& request) const {
-    return obs_ != nullptr || request.trace != nullptr;
-  }
-
-  /// One feed site per run for the counter families sourced from
+  /// One feed site per member for the counter families sourced from
   /// ExecStats (chains, objects, prune) — the stats themselves keep their
   /// exact semantics; this mirrors them into the registry.
   void FeedRunStats(const ExecStats& stats);
-  /// One feed site per run for cache events: the delta of cache_.stats()
-  /// against the run-entry snapshot `before`.
+  /// One feed site per batch for cache events: the delta of
+  /// cache_.stats() against the batch-entry snapshot `before`.
   void FeedCacheDelta(const EngineCacheStats& before);
-  /// Observes one stage duration (seconds) when metrics are on.
-  void FeedStage(obs::Histogram* h, double seconds);
-
-  /// Progress counters of one evaluation loop, valid even when the loop
-  /// was stopped early by an error, a cancellation, or a deadline.
-  struct EvalCounters {
-    uint32_t early_stops = 0;  ///< OB runs cut short by a τ-decision
-    uint32_t singles = 0;      ///< single-observation objects answered
-    uint32_t multis = 0;       ///< multi-observation objects answered
-  };
 
   util::Status ValidateFilter(const QueryRequest& request) const;
 
-  /// Run/RunBatch bodies; the public wrappers add the fault boundary.
-  util::Result<QueryResult> RunImpl(const QueryRequest& request);
+  /// RunBatch body; the public wrapper adds the fault boundary and the one
+  /// feed of `stats` (one entry per request, filled whatever the member's
+  /// outcome) into results, registry and last_run_stats().
   std::vector<util::Result<QueryResult>> RunBatchImpl(
-      std::span<const QueryRequest> requests);
-
-  util::Result<QueryResult> RunExistsFamily(const QueryRequest& request,
-                                            const Selection& ids);
+      std::span<const QueryRequest> requests, std::vector<ExecStats>* stats);
 
   /// \brief Bounds-only degraded answer (degrade == kBoundsOnly): decides
   /// kThresholdExists objects from the cluster interval bounds alone —
@@ -239,57 +227,45 @@ class QueryExecutor {
   /// lower bound, certainly-out objects dropped, the borderline reported
   /// in QueryResult::undecided. Objects (or whole requests) the bound
   /// pass cannot reach are undecided over [0, 1]. Never refines, so the
-  /// cost is one cached envelope sweep per cluster.
+  /// cost is one cached envelope sweep per cluster. Prune counters go to
+  /// `stats`, partial ones included when the request stops mid-pass.
   util::Result<QueryResult> RunDegradedBounds(const QueryRequest& request,
-                                              const Selection& ids);
-  util::Result<QueryResult> RunKTimes(const QueryRequest& request,
-                                      const Selection& ids);
-
-  /// \brief Solo kThresholdExists via the Section V-C plan: bound every
-  /// chain cluster holding evaluated objects, drop objects whose upper
-  /// bound clears τ from below, then refine the remainder query-based.
-  /// \pre the window's time set is a contiguous range.
-  util::Result<QueryResult> RunBoundsThenRefine(const QueryRequest& request,
-                                                const Selection& ids,
-                                                const QueryWindow& window);
+                                              const Selection& ids,
+                                              ExecStats* stats);
 
   /// \brief Splits a selection for the bound pass: single-observation
   /// objects (observed at t=0) are bucketed by registry cluster, every
   /// other object — outside the t=0 bound pass's reach — goes straight to
-  /// `refine`. Shared by Run and RunBatch so the partition rule cannot
-  /// drift between the two.
+  /// `refine`. Shared by the refining and the degraded bound passes so the
+  /// partition rule cannot drift between the two.
   void PartitionByCluster(
       const Selection& ids,
       std::map<uint32_t, std::vector<ObjectId>>* cluster_objects,
       std::vector<ObjectId>* refine) const;
 
-  /// \brief The bound → decide step shared by Run and RunBatch: for every
-  /// (cluster index → evaluated object ids) entry, obtains the cluster's
-  /// interval envelope and per-window bound pass (memoized in the
-  /// EngineCache), drops objects whose exists upper bound is below
-  /// request.tau, and appends the rest to `refine`. Polls the request's
-  /// cancellation token and deadline between clusters and returns the stop
-  /// status (with `prune` reflecting the clusters bounded so far).
+  /// \brief The one cluster-bound fetch: the cached bound pass of cluster
+  /// `cluster_index` over `window`, else one computed from the cluster's
+  /// cached (or freshly built) interval envelope and admitted. A cache
+  /// hit is returned as stored, whatever `with_lower` says: an upper-only
+  /// pass then reads lo = 0, which is sound for every caller.
+  util::Result<const std::vector<markov::ProbBound>*> ClusterBounds(
+      uint32_t cluster_index, const QueryWindow& window, bool with_lower);
+
+  /// \brief The bound → decide step of kBoundsThenRefine: for every
+  /// (cluster index → evaluated object ids) entry, fetches the cluster's
+  /// upper-only bound pass, drops objects whose exists upper bound is
+  /// below request.tau, and appends the rest to `refine`. Polls the
+  /// request's cancellation token and deadline between clusters and
+  /// returns the stop status (with `prune` reflecting the clusters bounded
+  /// so far).
   util::Status BoundClusters(
       const QueryRequest& request, const QueryWindow& window,
       const std::map<uint32_t, std::vector<ObjectId>>& cluster_objects,
       std::vector<ObjectId>* refine, PruneStats* prune);
 
-  /// \brief Builds the engines realizing each ChainPlan's decided plan for
-  /// a solo evaluation: query-based passes come from the cache while
-  /// capacity lasts (implicit mode only — borrowed pointers must never
-  /// evict each other), overflow and explicit-mode chains get owned
-  /// engines. Accumulates the cache deltas into `stats`.
-  void BuildExistsEngines(const QueryRequest& request,
-                          const QueryWindow& window,
-                          std::map<ChainId, ChainPlan>* plans,
-                          ExecStats* stats);
-
-  // Shared per-object evaluation cores: the range methods evaluate
-  // objects [begin, end) of `ids` (thread-safe across disjoint ranges,
-  // results written independently per object) and are driven either by
-  // the solo Run's ParallelChunksUntil loop (the *Objects wrappers) or by
-  // RunBatch's flat subtask scheduler.
+  // Per-object evaluation cores, driven by RunBatch's flat subtask
+  // scheduler: evaluate objects [begin, end) of `ids` (thread-safe across
+  // disjoint ranges, results written independently per object).
   void EvaluateExistsRange(const QueryRequest& request,
                            const QueryWindow& window, const Selection& ids,
                            const std::map<ChainId, ChainPlan>& plans,
@@ -301,19 +277,6 @@ class QueryExecutor {
                            size_t begin, size_t end,
                            std::vector<ObjectKTimes>* distributions,
                            KTimesEval* ev);
-  util::Status EvaluateExistsObjects(const QueryRequest& request,
-                                     const QueryWindow& window,
-                                     const Selection& ids,
-                                     const std::map<ChainId, ChainPlan>& plans,
-                                     std::vector<double>* probs,
-                                     std::vector<uint8_t>* keep,
-                                     EvalCounters* counters,
-                                     bool refine_query_based = false);
-  util::Status EvaluateKTimesObjects(const QueryRequest& request,
-                                     const Selection& ids,
-                                     const std::map<ChainId, ChainPlan>& plans,
-                                     std::vector<ObjectKTimes>* distributions,
-                                     uint32_t* evaluated);
   static void AssembleExistsResult(const QueryRequest& request,
                                    const Selection& ids,
                                    const std::vector<double>& probs,

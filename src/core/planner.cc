@@ -63,25 +63,6 @@ double QueryPlanner::PassCost(const markov::MarkovChain& chain,
   return transitions * entries_per_step * mode_factor;
 }
 
-PlanDecision QueryPlanner::Choose(ChainId chain, const QueryRequest& request,
-                                  uint32_t num_objects) const {
-  if (request.plan == PlanChoice::kObjectBased ||
-      request.plan == PlanChoice::kQueryBased) {
-    PlanDecision decision;
-    decision.plan = request.plan == PlanChoice::kObjectBased
-                        ? Plan::kObjectBased
-                        : Plan::kQueryBased;
-    decision.forced = true;
-    return decision;
-  }
-  // A solo run is a batch group of one: same cost model, one member.
-  // kBoundsThenRefine reaches here only when the executor fell back from
-  // the bound pass (ineligible window) — the per-chain decision is then
-  // cost-based, exactly as under kAuto.
-  const MemberLoad load{request.predicate, num_objects};
-  return PlanBatch(chain, request.window, request.matrix_mode, {&load, 1});
-}
-
 PlanDecision QueryPlanner::PlanBatch(
     ChainId chain, const QueryWindow& window, MatrixMode mode,
     std::span<const MemberLoad> members) const {

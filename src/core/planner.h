@@ -12,7 +12,9 @@
 // A batch of requests sharing one (window, matrix-mode) key shifts the
 // trade-off further: the backward pass is paid once for the whole group,
 // so PlanBatch() amortizes it over every member request while the
-// object-based side still pays per member and per object.
+// object-based side still pays per member and per object. A single
+// request is a group of one. Plan directives (a pinned OB/QB plan) are
+// honored by the executor, which leaves pinned members out of the loads.
 
 #ifndef USTDB_CORE_PLANNER_H_
 #define USTDB_CORE_PLANNER_H_
@@ -44,12 +46,12 @@ struct CostEstimate {
   double bounds_then_refine = 0.0;
 };
 
-/// The planner's verdict for one chain class (Choose / PlanBatch) or for
-/// a whole threshold request (ChooseThresholdPlan).
+/// The planner's verdict for one chain class (PlanBatch) or for a whole
+/// threshold request (ChooseThresholdPlan).
 struct PlanDecision {
   Plan plan = Plan::kQueryBased;
   CostEstimate cost;
-  /// True when the request forced the plan and the cost model was bypassed.
+  /// True when the request forced the bound plan (ChooseThresholdPlan).
   bool forced = false;
 };
 
@@ -82,21 +84,6 @@ class QueryPlanner {
   ///        outlive the planner.
   explicit QueryPlanner(const Database* db) : db_(db) {}
 
-  /// \brief Decides the plan for `chain` under `request`, honoring a
-  /// forced PlanChoice and otherwise comparing cost estimates.
-  ///
-  /// Equivalent to PlanBatch() with a single member carrying the request's
-  /// predicate — a solo run is a batch group of one.
-  ///
-  /// \param chain the chain class being planned.
-  /// \param request supplies the window (temporal reach), matrix mode, and
-  ///        plan directive.
-  /// \param num_objects how many single-observation objects of this chain
-  ///        the request will actually evaluate (after filtering);
-  ///        multi-observation objects bypass both plans and are excluded.
-  PlanDecision Choose(ChainId chain, const QueryRequest& request,
-                      uint32_t num_objects) const;
-
   /// \brief Batch-aware plan decision for one chain class shared by every
   /// member of a RunBatch group (requests with identical effective window
   /// and matrix mode).
@@ -106,8 +93,8 @@ class QueryPlanner {
   /// threshold predicates — while the query-based side pays a single
   /// backward pass (t_end × nnz) for the whole group plus one dot product
   /// per object per member. Amortization therefore tips the decision
-  /// toward the query-based plan as the group grows; with one member the
-  /// decision is identical to Choose().
+  /// toward the query-based plan as the group grows; a single request is
+  /// planned as a group of one member.
   ///
   /// \param chain the chain class being planned.
   /// \param window the group's effective window (only its temporal reach,
@@ -129,7 +116,7 @@ class QueryPlanner {
   /// Returns kBoundsThenRefine when the bound pass wins (or `directive`
   /// forces it, marking the decision forced); otherwise returns the
   /// cheaper of the aggregated per-chain plans so the caller can proceed
-  /// with per-chain Choose() decisions. Every cost field of the returned
+  /// with per-chain PlanBatch() decisions. Every cost field of the returned
   /// estimate is filled. An empty `loads` never chooses the bound pass.
   ///
   /// The caller remains responsible for window eligibility (contiguous,

@@ -185,7 +185,8 @@ struct QueryRequest {
   /// Absolute deadline; past it the executor stops at the next cooperative
   /// check and resolves with Status::DeadlineExceeded (a request whose
   /// deadline has already passed at submission fails without evaluating
-  /// anything). nullopt = no deadline.
+  /// anything, and an answer is never returned after the deadline).
+  /// nullopt = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 
   /// Per-query stage trace. When set, the executor (and, above it, the
@@ -205,10 +206,11 @@ struct QueryRequest {
   RetryPolicy retry;
 };
 
-/// \brief Execution telemetry of one QueryExecutor::Run — or, for
-/// RunBatch, of one member request (cache counters are attributed to the
+/// \brief Execution telemetry of one member request of
+/// QueryExecutor::RunBatch (a Run is a batch of one). Kept whether the
+/// member answers, fails or stops; cache counters are attributed to the
 /// first successfully answered member of each batch group to avoid
-/// double counting).
+/// double counting.
 struct ExecStats {
   /// Chain classes evaluated with the object-based plan.
   uint32_t chains_object_based = 0;
@@ -224,16 +226,13 @@ struct ExecStats {
   uint32_t objects_multi_observation = 0;
   /// Worker threads the executor's pool had available for this run.
   unsigned threads_used = 1;
-  /// Engine-cache hits/misses incurred by this run. In a batch these are
-  /// reported on the group's first successfully answered member only;
-  /// other members read 0.
+  /// Engine-cache hits/misses of the group's lookups, reported on the
+  /// group's first successfully answered member only; other members read
+  /// 0. Evictions are not attributed to requests at all: passes are
+  /// admitted after every member is answered, so they show only in the
+  /// executor-level cache_stats() (and ServiceStats.cache).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Engine-cache evictions this solo Run's lookups caused. Batch members
-  /// read 0: RunBatch admits batch-built passes after its members have
-  /// already been answered, so those evictions are visible only in the
-  /// executor-level cache_stats() (and ServiceStats.cache).
-  uint64_t cache_evictions = 0;
   /// Stale-epoch cache entries this run's lookups dropped (the lazy
   /// per-chain invalidation of the ingest path). Batch attribution
   /// follows cache_hits/cache_misses.
@@ -244,14 +243,15 @@ struct ExecStats {
   uint64_t cache_shift_extends = 0;
   /// Requests sharing this request's RunBatch group — every member of a
   /// group reuses the same per-chain engines, so a group of size g pays
-  /// one backward pass where g solo runs on a cold cache pay g. Zero for
-  /// a plain Run.
+  /// one backward pass where g separate runs on a cold cache pay g. 1 for
+  /// a plain Run; 0 only for a request that never joined a group
+  /// (rejected filter, stopped before execution, degraded answer).
   uint32_t batch_group_members = 0;
   /// Object-range subtasks this request's evaluation was split into by the
   /// intra-group batch scheduler (the parallel unit of RunBatch's
   /// execution phase; splitting never changes results, every object's
-  /// output is written independently). Zero for a plain Run or for a
-  /// member stopped before evaluating anything; a member with objects
+  /// output is written independently). Zero for a member stopped before
+  /// evaluating anything; a member with objects — a plain Run included —
   /// reports >= 1 even on a single-threaded executor, where the subtasks
   /// simply run in order on one worker.
   uint32_t group_subtasks = 0;

@@ -462,7 +462,6 @@ void AccumulateStats(const core::ExecStats& in, core::ExecStats* out) {
   out->threads_used += in.threads_used;
   out->cache_hits += in.cache_hits;
   out->cache_misses += in.cache_misses;
-  out->cache_evictions += in.cache_evictions;
   out->cache_invalidations += in.cache_invalidations;
   out->cache_shift_extends += in.cache_shift_extends;
   out->batch_group_members =
@@ -1258,42 +1257,10 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   }
   const bool timing = obs_ != nullptr || any_traced;
 
+  // One RunBatch per drain, whether it holds one entry or many. The
+  // executor groups members by (effective window, matrix mode) internally,
+  // so every same-window subset shares one backward pass per chain.
   ShardLane& lane = *shards_[shard];
-  if (runnable.size() == 1) {
-    ShardTask& task = runnable.front();
-    lane.health.MarkDispatchStart(now);
-    // Ingest serialization: the run sees a frozen shard database, so the
-    // executor's start-of-run epoch stamp names the exact data the whole
-    // answer derives from.
-    util::Result<core::QueryResult> result =
-        [&]() -> util::Result<core::QueryResult> {
-      std::lock_guard<std::mutex> db_lock(lane.db_mu);
-      return lane.executor.Run(task.gather->subs[task.sub_index].request);
-    }();
-    lane.health.MarkDispatchEnd();
-    const Clock::time_point run_end =
-        timing ? Clock::now() : Clock::time_point();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.solo_dispatches;
-      lane.cache_snapshot = lane.executor.cache_stats();
-    }
-    if (obs_ != nullptr) {
-      obs_->shards[shard].solo->Add(1);
-      obs_->shards[shard].dispatch->Observe(
-          std::chrono::duration<double>(run_end - now).count());
-    }
-    if (const auto& trace = task.gather->parent->trace; trace != nullptr) {
-      trace->Record(obs::Stage::kDispatch, now, run_end,
-                    static_cast<int32_t>(shard), "batch=1");
-    }
-    CompleteSub(task.gather, task.sub_index, std::move(result), shard);
-    return;
-  }
-
-  // The coalescing step: one RunBatch over the whole drain. The executor
-  // groups members by (effective window, matrix mode) internally, so every
-  // same-window subset shares one backward pass per chain.
   std::vector<core::QueryRequest> requests;
   requests.reserve(runnable.size());
   for (ShardTask& task : runnable) {
@@ -1309,21 +1276,33 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   lane.health.MarkDispatchStart(now);
   std::vector<util::Result<core::QueryResult>> results;
   {
-    std::lock_guard<std::mutex> db_lock(lane.db_mu);  // see solo path
+    // Ingest serialization: the run sees a frozen shard database, so the
+    // executor's start-of-run epoch stamp names the exact data the whole
+    // answer derives from.
+    std::lock_guard<std::mutex> db_lock(lane.db_mu);
     results = lane.executor.RunBatch(requests);
   }
   lane.health.MarkDispatchEnd();
   const Clock::time_point run_end =
       timing ? Clock::now() : Clock::time_point();
+  const bool coalesced = runnable.size() > 1;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.coalesced_batches;
-    stats_.coalesced_requests += runnable.size();
+    if (coalesced) {
+      ++stats_.coalesced_batches;
+      stats_.coalesced_requests += runnable.size();
+    } else {
+      ++stats_.solo_dispatches;
+    }
     lane.cache_snapshot = lane.executor.cache_stats();
   }
   if (obs_ != nullptr) {
-    obs_->shards[shard].coalesced_batches->Add(1);
-    obs_->shards[shard].coalesced_requests->Add(runnable.size());
+    if (coalesced) {
+      obs_->shards[shard].coalesced_batches->Add(1);
+      obs_->shards[shard].coalesced_requests->Add(runnable.size());
+    } else {
+      obs_->shards[shard].solo->Add(1);
+    }
     obs_->shards[shard].dispatch->Observe(
         std::chrono::duration<double>(run_end - now).count());
   }

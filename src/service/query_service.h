@@ -557,7 +557,7 @@ class QueryService {
 
   void DispatcherLoop(uint32_t shard);
   /// Executes one drained set on shard `shard`: resolves stale entries,
-  /// runs the rest as a solo Run or one coalesced RunBatch, completes
+  /// runs the rest as one RunBatch (of one entry or many), completes
   /// every sub.
   void Dispatch(uint32_t shard, std::vector<ShardTask> taken);
   /// Records sub `sub_index`'s outcome; the last sub to land merges and

@@ -24,15 +24,12 @@
 #include "core/k_times.h"               // IWYU pragma: export
 #include "core/multi_observation.h"     // IWYU pragma: export
 #include "core/object_based.h"          // IWYU pragma: export
-#include "core/parallel_processor.h"    // IWYU pragma: export
 #include "core/planner.h"               // IWYU pragma: export
-#include "core/processor.h"             // IWYU pragma: export
 #include "core/query_based.h"           // IWYU pragma: export
 #include "core/query_request.h"         // IWYU pragma: export
 #include "core/query_window.h"          // IWYU pragma: export
 #include "core/shard_router.h"          // IWYU pragma: export
 #include "core/smoothing.h"             // IWYU pragma: export
-#include "core/threshold.h"             // IWYU pragma: export
 #include "core/time_varying_engines.h"  // IWYU pragma: export
 #include "exact/possible_worlds.h"      // IWYU pragma: export
 #include "geo/drift_model.h"            // IWYU pragma: export

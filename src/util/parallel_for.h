@@ -36,31 +36,12 @@ inline size_t ChunkSize(size_t n, unsigned workers) {
   return (n + workers - 1) / workers;
 }
 
-/// How many elements a worker processes between two cooperative stop
-/// checks. Small enough that a cancelled query stops within microseconds,
+/// Objects in one executor evaluation subtask, the unit between two
+/// cooperative stop checks. Small enough that a cancelled query stops
+/// within microseconds,
 /// large enough that the check (an atomic load, plus a clock read when a
 /// deadline is set) is amortized to nothing.
 inline constexpr size_t kStopCheckStride = 64;
-
-/// \brief Runs f(begin, end) over [begin, end) in sub-ranges of at most
-/// `stride` elements, calling should_stop() before each sub-range and
-/// abandoning the rest of the range once it returns true. The executor
-/// threads cancellation tokens and deadlines through this: a stopped
-/// worker leaves its remaining objects unevaluated. Sub-chunking never
-/// changes results — every element's output is written independently, so
-/// boundaries are invisible to completed work.
-template <typename StopFn, typename F>
-void ChunksUntil(size_t begin, size_t end, size_t stride, StopFn&& should_stop,
-                 F&& f) {
-  if (begin >= end) {
-    f(begin, end);
-    return;
-  }
-  for (size_t sub = begin; sub < end; sub += stride) {
-    if (should_stop()) return;
-    f(sub, std::min(end, sub + stride));
-  }
-}
 
 /// \brief Runs f(begin, end) over disjoint contiguous chunks of [0, n) on
 /// `num_threads` threads (0 = hardware default). f must be thread-safe
@@ -95,8 +76,8 @@ void ParallelChunks(size_t n, unsigned num_threads, F&& f) {
 /// QueryExecutor owns one and reuses it for every request it serves.
 ///
 /// A pool constructed with num_threads <= 1 (after hardware resolution)
-/// spawns no threads at all and runs every job inline, which keeps the
-/// sequential facades (QueryProcessor et al.) allocation-cheap.
+/// spawns no threads at all and runs every job inline, which keeps
+/// single-threaded executors allocation-cheap.
 ///
 /// ParallelChunks() may be called from one thread at a time (the executor
 /// serializes); worker threads must not re-enter the pool.
@@ -160,20 +141,6 @@ class ThreadPool {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return pending_ == 0; });
     job_ = nullptr;
-  }
-
-  /// \brief ParallelChunks with cooperative stops: every worker processes
-  /// its chunk in sub-ranges of at most `stride` elements and abandons the
-  /// remainder once should_stop() returns true. should_stop must be
-  /// thread-safe (the executor's is an atomic token poll plus an optional
-  /// deadline check). Chunk boundaries — and therefore results of work
-  /// that does complete — are identical to ParallelChunks(n, f).
-  template <typename StopFn, typename F>
-  void ParallelChunksUntil(size_t n, StopFn&& should_stop, F&& f,
-                           size_t stride = kStopCheckStride) {
-    ParallelChunks(n, [&](size_t begin, size_t end) {
-      ChunksUntil(begin, end, stride, should_stop, f);
-    });
   }
 
  private:

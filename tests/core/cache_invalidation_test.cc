@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/database.h"
@@ -230,27 +231,37 @@ TEST(CacheInvalidationTest, EngineCacheDropsExactlyTheStaleKey) {
       QueryWindow::FromRanges(kStates, 5, 14, 2, 6).ValueOrDie();
 
   EngineCache cache(8);
-  ASSERT_NE(cache.Get(&chain_a, window, /*epoch=*/0), nullptr);
-  ASSERT_NE(cache.Get(&chain_b, window, /*epoch=*/0), nullptr);
+  const auto admit = [&](const markov::MarkovChain* chain,
+                         DataVersion epoch) {
+    return cache.Put(chain, window,
+                     std::make_unique<QueryBasedEngine>(chain, window),
+                     epoch);
+  };
+  EXPECT_EQ(cache.Lookup(&chain_a, window, /*epoch=*/0), nullptr);
+  ASSERT_NE(admit(&chain_a, 0), nullptr);
+  EXPECT_EQ(cache.Lookup(&chain_b, window, /*epoch=*/0), nullptr);
+  ASSERT_NE(admit(&chain_b, 0), nullptr);
   ASSERT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
 
-  // Same epoch: both hit.
-  EXPECT_NE(cache.Get(&chain_a, window, 0), nullptr);
+  // Same epoch: a hit.
+  EXPECT_NE(cache.Lookup(&chain_a, window, 0), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
 
-  // Chain A advanced: its entry is dropped (invalidation + miss) and
-  // rebuilt at the new epoch; chain B's entry is untouched.
-  EXPECT_NE(cache.Get(&chain_a, window, /*epoch=*/3), nullptr);
+  // Chain A advanced: the lookup drops its entry (invalidation + miss)
+  // and it is rebuilt at the new epoch; chain B's entry is untouched.
+  EXPECT_EQ(cache.Lookup(&chain_a, window, /*epoch=*/3), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_NE(admit(&chain_a, 3), nullptr);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Get(&chain_b, window, 0), nullptr);
+  EXPECT_NE(cache.Lookup(&chain_b, window, 0), nullptr);
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().invalidations, 1u);
 
   // The rebuilt entry serves at its build epoch.
-  EXPECT_NE(cache.Get(&chain_a, window, 3), nullptr);
+  EXPECT_NE(cache.Lookup(&chain_a, window, 3), nullptr);
   EXPECT_EQ(cache.stats().hits, 3u);
 }
 

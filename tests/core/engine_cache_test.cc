@@ -19,11 +19,21 @@ QueryWindow WindowV() {
   return QueryWindow::FromRanges(3, 0, 1, 2, 3).ValueOrDie();
 }
 
+/// The executor's read-then-admit sequence, minus shift extension: a
+/// Lookup(), and on a miss a freshly built pass admitted with Put().
+const QueryBasedEngine* LookupOrAdmit(EngineCache* cache,
+                                      const markov::MarkovChain* chain,
+                                      const QueryWindow& window) {
+  if (const QueryBasedEngine* hit = cache->Lookup(chain, window)) return hit;
+  return cache->Put(chain, window,
+                    std::make_unique<QueryBasedEngine>(chain, window));
+}
+
 TEST(EngineCacheTest, HitOnRepeatedWindow) {
   markov::MarkovChain chain = PaperChainV();
   EngineCache cache(4);
-  const QueryBasedEngine* a = cache.Get(&chain, WindowV());
-  const QueryBasedEngine* b = cache.Get(&chain, WindowV());
+  const QueryBasedEngine* a = LookupOrAdmit(&cache, &chain, WindowV());
+  const QueryBasedEngine* b = LookupOrAdmit(&cache, &chain, WindowV());
   EXPECT_EQ(a, b);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -38,8 +48,8 @@ TEST(EngineCacheTest, EquivalentWindowsShareEntries) {
   EngineCache cache(4);
   auto region = sparse::IndexSet::FromIndices(3, {1, 0}).ValueOrDie();
   auto via_create = QueryWindow::Create(region, {3, 2}).ValueOrDie();
-  const QueryBasedEngine* a = cache.Get(&chain, WindowV());
-  const QueryBasedEngine* b = cache.Get(&chain, via_create);
+  const QueryBasedEngine* a = LookupOrAdmit(&cache, &chain, WindowV());
+  const QueryBasedEngine* b = LookupOrAdmit(&cache, &chain, via_create);
   EXPECT_EQ(a, b);
 }
 
@@ -47,11 +57,11 @@ TEST(EngineCacheTest, DistinguishesChainsAndWindows) {
   markov::MarkovChain chain_a = PaperChainV();
   markov::MarkovChain chain_b = PaperChainVI();
   EngineCache cache(8);
-  const QueryBasedEngine* a = cache.Get(&chain_a, WindowV());
-  const QueryBasedEngine* b = cache.Get(&chain_b, WindowV());
+  const QueryBasedEngine* a = LookupOrAdmit(&cache, &chain_a, WindowV());
+  const QueryBasedEngine* b = LookupOrAdmit(&cache, &chain_b, WindowV());
   EXPECT_NE(a, b);
   auto other_window = QueryWindow::FromRanges(3, 0, 1, 1, 2).ValueOrDie();
-  const QueryBasedEngine* c = cache.Get(&chain_a, other_window);
+  const QueryBasedEngine* c = LookupOrAdmit(&cache, &chain_a, other_window);
   EXPECT_NE(a, c);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.stats().misses, 3u);
@@ -64,19 +74,19 @@ TEST(EngineCacheTest, LruEviction) {
   auto w2 = QueryWindow::FromRanges(3, 1, 1, 1, 2).ValueOrDie();
   auto w3 = QueryWindow::FromRanges(3, 2, 2, 1, 2).ValueOrDie();
 
-  (void)cache.Get(&chain, w1);
-  (void)cache.Get(&chain, w2);
-  (void)cache.Get(&chain, w1);  // w1 now most recent
-  (void)cache.Get(&chain, w3);  // evicts w2
+  (void)LookupOrAdmit(&cache, &chain, w1);
+  (void)LookupOrAdmit(&cache, &chain, w2);
+  (void)LookupOrAdmit(&cache, &chain, w1);  // w1 now most recent
+  (void)LookupOrAdmit(&cache, &chain, w3);  // evicts w2
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 2u);
 
   // w1 still cached (hit), w2 rebuilt (miss).
   const uint64_t hits_before = cache.stats().hits;
-  (void)cache.Get(&chain, w1);
+  (void)LookupOrAdmit(&cache, &chain, w1);
   EXPECT_EQ(cache.stats().hits, hits_before + 1);
   const uint64_t misses_before = cache.stats().misses;
-  (void)cache.Get(&chain, w2);
+  (void)LookupOrAdmit(&cache, &chain, w2);
   EXPECT_EQ(cache.stats().misses, misses_before + 1);
 }
 
@@ -84,17 +94,17 @@ TEST(EngineCacheTest, CapacityZeroClampsToOne) {
   markov::MarkovChain chain = PaperChainV();
   EngineCache cache(0);
   EXPECT_EQ(cache.capacity(), 1u);
-  (void)cache.Get(&chain, WindowV());
+  (void)LookupOrAdmit(&cache, &chain, WindowV());
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(EngineCacheTest, ClearDropsEverything) {
   markov::MarkovChain chain = PaperChainV();
   EngineCache cache(4);
-  (void)cache.Get(&chain, WindowV());
+  (void)LookupOrAdmit(&cache, &chain, WindowV());
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  (void)cache.Get(&chain, WindowV());
+  (void)LookupOrAdmit(&cache, &chain, WindowV());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
@@ -113,13 +123,12 @@ TEST(EngineCacheTest, LookupNeverBuildsAndPutAdmits) {
 
   EXPECT_EQ(cache.Lookup(&chain, WindowV()), raw);
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.Get(&chain, WindowV()), raw);  // Get sees the same entry
 }
 
 TEST(EngineCacheTest, PutKeepsExistingEntry) {
   markov::MarkovChain chain = PaperChainV();
   EngineCache cache(4);
-  const QueryBasedEngine* first = cache.Get(&chain, WindowV());
+  const QueryBasedEngine* first = LookupOrAdmit(&cache, &chain, WindowV());
   auto duplicate = std::make_unique<QueryBasedEngine>(&chain, WindowV());
   EXPECT_EQ(cache.Put(&chain, WindowV(), std::move(duplicate)), first);
   EXPECT_EQ(cache.size(), 1u);
@@ -130,7 +139,7 @@ TEST(EngineCacheTest, PutEvictsLruButLookupNeverDoes) {
   EngineCache cache(1);
   auto w1 = QueryWindow::FromRanges(3, 0, 0, 1, 2).ValueOrDie();
   auto w2 = QueryWindow::FromRanges(3, 1, 1, 1, 2).ValueOrDie();
-  const QueryBasedEngine* a = cache.Get(&chain, w1);
+  const QueryBasedEngine* a = LookupOrAdmit(&cache, &chain, w1);
   // Lookups of absent keys must not disturb resident entries — the batch
   // executor borrows pointers across many lookups.
   EXPECT_EQ(cache.Lookup(&chain, w2), nullptr);
@@ -158,7 +167,7 @@ TEST(EngineCacheTest, CachedResultsMatchFreshEngines) {
 
   EngineCache cache(3);
   for (const QueryWindow& w : workload) {
-    const QueryBasedEngine* cached = cache.Get(&chain, w);
+    const QueryBasedEngine* cached = LookupOrAdmit(&cache, &chain, w);
     QueryBasedEngine fresh(&chain, w);
     const sparse::ProbVector initial = RandomDistribution(30, 3, &rng);
     EXPECT_NEAR(cached->ExistsProbability(initial),
@@ -216,7 +225,7 @@ TEST(EngineCacheTest, ClusterStoresEvictIndependentlyOfEngines) {
   // backward passes can never dangle because of bound-pass admissions.
   markov::MarkovChain chain = PaperChainV();
   EngineCache cache(2);
-  const QueryBasedEngine* engine = cache.Get(&chain, WindowV());
+  const QueryBasedEngine* engine = LookupOrAdmit(&cache, &chain, WindowV());
   util::Rng rng(5);
   for (ChainId leader = 0; leader < 3; ++leader) {
     markov::MarkovChain member = RandomChain(4, 2, &rng);
@@ -229,7 +238,7 @@ TEST(EngineCacheTest, ClusterStoresEvictIndependentlyOfEngines) {
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.size(), 1u);
   // The engine entry is still served (a hit, not a rebuild).
-  EXPECT_EQ(cache.Get(&chain, WindowV()), engine);
+  EXPECT_EQ(cache.Lookup(&chain, WindowV()), engine);
   // The oldest envelope is gone, the two youngest remain.
   EXPECT_EQ(cache.LookupEnvelope(0, 1), nullptr);
   EXPECT_NE(cache.LookupEnvelope(1, 1), nullptr);

@@ -345,8 +345,8 @@ TEST(ExecutorBatchTest, IntraGroupSplittingIsBitIdenticalToSequential) {
     EXPECT_EQ(seq[i]->stats.group_subtasks, 5u);
     EXPECT_EQ(split[i]->stats.batch_group_members, 8u);
   }
-  // Solo runs never go through the batch scheduler.
-  EXPECT_EQ(solo_exec.last_run_stats().group_subtasks, 0u);
+  // A Run is a one-member batch: it splits into the same 5 subtasks.
+  EXPECT_EQ(solo_exec.last_run_stats().group_subtasks, 5u);
 }
 
 TEST(ExecutorBatchTest, IntraGroupSplittingCoversKTimesAndThreshold) {

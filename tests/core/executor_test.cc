@@ -4,9 +4,6 @@
 
 #include <numeric>
 
-#include "core/parallel_processor.h"
-#include "core/processor.h"
-#include "core/threshold.h"
 #include "testing/random_models.h"
 #include "util/rng.h"
 
@@ -83,66 +80,66 @@ TEST(ExecutorTest, AllPredicatesAgreeBetweenPlans) {
   }
 }
 
-TEST(ExecutorTest, MatchesLegacyEntryPoints) {
+TEST(ExecutorTest, AutoPlanMatchesPinnedQueryBasedPlan) {
+  // Whatever plan kAuto picks per chain class, every predicate agrees with
+  // the pinned query-based plan: probabilities within kernel rounding,
+  // threshold and top-k selections by id, k-times distributions exactly
+  // (PSTkQ ignores the plan directive).
   Database db = MakeDb(2, 25, 902);
-  QueryExecutor executor(&db);
+  QueryExecutor executor(&db, {.num_threads = 1});
   const QueryWindow window = Window();
-  QueryProcessor processor(&db);
+  for (PredicateKind predicate :
+       {PredicateKind::kExists, PredicateKind::kForAll,
+        PredicateKind::kThresholdExists, PredicateKind::kTopKExists,
+        PredicateKind::kKTimes}) {
+    QueryRequest request;
+    request.predicate = predicate;
+    request.window = window;
+    request.tau = 0.3;
+    request.k = 5;
+    const auto automatic = executor.Run(request).ValueOrDie();
+    request.plan = PlanChoice::kQueryBased;
+    const auto pinned = executor.Run(request).ValueOrDie();
 
-  const auto exists =
-      executor.Run({.predicate = PredicateKind::kExists, .window = window})
-          .ValueOrDie();
-  const auto legacy_exists = processor.Exists(window).ValueOrDie();
-  ASSERT_EQ(exists.probabilities.size(), legacy_exists.size());
-  for (size_t i = 0; i < legacy_exists.size(); ++i) {
-    EXPECT_EQ(exists.probabilities[i].id, legacy_exists[i].id);
-    EXPECT_NEAR(exists.probabilities[i].probability,
-                legacy_exists[i].probability, 1e-12);
+    ASSERT_EQ(automatic.probabilities.size(), pinned.probabilities.size())
+        << "predicate " << static_cast<int>(predicate);
+    for (size_t i = 0; i < pinned.probabilities.size(); ++i) {
+      EXPECT_EQ(automatic.probabilities[i].id, pinned.probabilities[i].id);
+      EXPECT_NEAR(automatic.probabilities[i].probability,
+                  pinned.probabilities[i].probability, 1e-12);
+    }
+    ASSERT_EQ(automatic.distributions.size(), pinned.distributions.size());
+    for (size_t i = 0; i < pinned.distributions.size(); ++i) {
+      EXPECT_EQ(automatic.distributions[i].distribution,
+                pinned.distributions[i].distribution);
+    }
   }
+}
 
-  const auto forall =
-      executor.Run({.predicate = PredicateKind::kForAll, .window = window})
-          .ValueOrDie();
-  const auto legacy_forall = processor.ForAll(window).ValueOrDie();
-  for (size_t i = 0; i < legacy_forall.size(); ++i) {
-    EXPECT_NEAR(forall.probabilities[i].probability,
-                legacy_forall[i].probability, 1e-12);
-  }
+TEST(ExecutorTest, PinnedPlanOverridesCostModel) {
+  // 50 objects on one chain make QB the cost-based choice; a pinned OB
+  // plan must still run object-based. One object makes OB the choice; a
+  // pinned QB plan must still run query-based.
+  const QueryWindow window = Window();
+  Database dense_db = MakeDb(1, 50, 914);
+  QueryExecutor dense_exec(&dense_db);
+  const auto ob = dense_exec
+                      .Run({.predicate = PredicateKind::kExists,
+                            .window = window,
+                            .plan = PlanChoice::kObjectBased})
+                      .ValueOrDie();
+  EXPECT_EQ(ob.stats.chains_object_based, 1u);
+  EXPECT_EQ(ob.stats.chains_query_based, 0u);
 
-  const auto threshold = executor
-                             .Run({.predicate = PredicateKind::kThresholdExists,
-                                   .window = window,
-                                   .tau = 0.3})
-                             .ValueOrDie();
-  const auto legacy_threshold =
-      ThresholdExistsQueryBased(db, window, 0.3).ValueOrDie();
-  ASSERT_EQ(threshold.probabilities.size(), legacy_threshold.size());
-  for (size_t i = 0; i < legacy_threshold.size(); ++i) {
-    EXPECT_EQ(threshold.probabilities[i].id, legacy_threshold[i].id);
-  }
-
-  const auto topk =
-      executor
-          .Run({.predicate = PredicateKind::kTopKExists, .window = window,
-                .k = 5})
-          .ValueOrDie();
-  const auto legacy_topk = TopKExists(db, window, 5).ValueOrDie();
-  ASSERT_EQ(topk.probabilities.size(), legacy_topk.size());
-  for (size_t i = 0; i < legacy_topk.size(); ++i) {
-    EXPECT_EQ(topk.probabilities[i].id, legacy_topk[i].id);
-    EXPECT_NEAR(topk.probabilities[i].probability,
-                legacy_topk[i].probability, 1e-12);
-  }
-
-  const auto ktimes =
-      executor.Run({.predicate = PredicateKind::kKTimes, .window = window})
-          .ValueOrDie();
-  const auto legacy_ktimes = processor.KTimes(window).ValueOrDie();
-  ASSERT_EQ(ktimes.distributions.size(), legacy_ktimes.size());
-  for (size_t i = 0; i < legacy_ktimes.size(); ++i) {
-    EXPECT_EQ(ktimes.distributions[i].distribution,
-              legacy_ktimes[i].distribution);
-  }
+  Database sparse_db = MakeDb(1, 1, 915);
+  QueryExecutor sparse_exec(&sparse_db);
+  const auto qb = sparse_exec
+                      .Run({.predicate = PredicateKind::kExists,
+                            .window = window,
+                            .plan = PlanChoice::kQueryBased})
+                      .ValueOrDie();
+  EXPECT_EQ(qb.stats.chains_object_based, 0u);
+  EXPECT_EQ(qb.stats.chains_query_based, 1u);
 }
 
 TEST(ExecutorTest, ParallelRunsAreBitIdenticalToSequential) {
@@ -324,7 +321,9 @@ TEST(ExecutorTest, CacheDegradesGracefullyWhenChainsExceedCapacity) {
 
   const auto first = small.Run(request).ValueOrDie();
   EXPECT_EQ(first.stats.chains_query_based, 3u);
-  EXPECT_EQ(first.stats.cache_misses, 1u);  // one chain cached, two owned
+  // Every chain misses and is built; all three are admitted after
+  // evaluation, so the single slot keeps the last one.
+  EXPECT_EQ(first.stats.cache_misses, 3u);
   const auto second = small.Run(request).ValueOrDie();
   EXPECT_EQ(second.stats.cache_hits, 1u);  // the cached chain is reused
 
@@ -334,6 +333,65 @@ TEST(ExecutorTest, CacheDegradesGracefullyWhenChainsExceedCapacity) {
   for (size_t i = 0; i < want.probabilities.size(); ++i) {
     EXPECT_DOUBLE_EQ(first.probabilities[i].probability,
                      want.probabilities[i].probability);
+  }
+}
+
+/// Ids of every object on `chain` in a MakeDb database (round-robin).
+std::vector<ObjectId> ObjectsOfChain(uint32_t chain, uint32_t num_chains,
+                                     uint32_t num_objects) {
+  std::vector<ObjectId> ids;
+  for (ObjectId id = chain; id < num_objects; id += num_chains) {
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(ExecutorTest, CacheAdmissionNeverEvictsABorrowedPass) {
+  // Four chains (A-D, eight objects each) against four cache slots. Three
+  // windows on chain A fill three slots and chain D's pass for W0 the
+  // fourth. A run over all objects with W0 shifted by one then misses on
+  // A, B and C and extends D's W0 pass: admitting the new passes must not
+  // evict one the run still reads. The answer must be bit-identical to
+  // the same sequence on an executor whose cache never evicts.
+  constexpr uint32_t kChains = 4;
+  constexpr uint32_t kObjects = 32;
+  Database db = MakeDb(kChains, kObjects, 920);
+  const QueryWindow w0 = QueryWindow::FromRanges(25, 10, 15, 2, 6).ValueOrDie();
+  const auto run_sequence = [&](QueryExecutor* executor) {
+    QueryRequest chain_a;
+    chain_a.plan = PlanChoice::kQueryBased;
+    chain_a.object_filter = ObjectsOfChain(0, kChains, kObjects);
+    for (Timestamp t_end : {3u, 4u, 5u}) {
+      chain_a.window =
+          QueryWindow::FromRanges(25, 0, 4, 1, t_end).ValueOrDie();
+      EXPECT_TRUE(executor->Run(chain_a).ok());
+    }
+    QueryRequest chain_d;
+    chain_d.plan = PlanChoice::kQueryBased;
+    chain_d.object_filter = ObjectsOfChain(3, kChains, kObjects);
+    chain_d.window = w0;
+    EXPECT_TRUE(executor->Run(chain_d).ok());
+    EXPECT_EQ(executor->cache_stats().evictions, 0u);
+
+    QueryRequest all;
+    all.plan = PlanChoice::kQueryBased;
+    all.window = w0.ShiftedBy(1);
+    return executor->Run(all).ValueOrDie();
+  };
+
+  QueryExecutor small(&db, {.num_threads = 1, .cache_capacity = 4});
+  const QueryResult got = run_sequence(&small);
+  EXPECT_EQ(got.stats.cache_misses, 4u);
+  EXPECT_EQ(got.stats.cache_shift_extends, 1u);
+  QueryExecutor big(&db, {.num_threads = 1, .cache_capacity = 64});
+  const QueryResult want = run_sequence(&big);
+  ASSERT_EQ(got.probabilities.size(), kObjects);
+  ASSERT_EQ(want.probabilities.size(), kObjects);
+  for (size_t i = 0; i < kObjects; ++i) {
+    EXPECT_EQ(got.probabilities[i].id, want.probabilities[i].id);
+    EXPECT_EQ(got.probabilities[i].probability,
+              want.probabilities[i].probability)
+        << "object " << i;
   }
 }
 

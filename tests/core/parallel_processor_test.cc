@@ -1,9 +1,9 @@
-#include "core/parallel_processor.h"
-
+// Parallel query processing: QueryExecutor::Run over a thread pool must give
+// the sequential answers, bit for bit, under either pinned plan.
 #include <gtest/gtest.h>
 
+#include "core/executor.h"
 #include "testing/random_models.h"
-#include "util/parallel_for.h"
 #include "util/rng.h"
 
 namespace ustdb {
@@ -28,51 +28,24 @@ Database MakeDb(uint32_t num_chains, uint32_t num_objects, uint64_t seed) {
   return db;
 }
 
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (unsigned threads : {1u, 2u, 3u, 8u}) {
-    std::vector<int> hits(1000, 0);
-    util::ParallelChunks(hits.size(), threads, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) ++hits[i];
-    });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i], 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(ParallelForTest, HandlesEmptyAndTinyRanges) {
-  int calls = 0;
-  util::ParallelChunks(0, 4, [&](size_t b, size_t e) {
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-
-  std::vector<int> hits(3, 0);
-  util::ParallelChunks(3, 16, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) ++hits[i];
-  });
-  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
-}
-
-TEST(ParallelExistsTest, MatchesSequentialProcessorBothPlans) {
+TEST(ParallelQueryTest, PinnedPlansAreBitIdenticalAcrossThreadCounts) {
   Database db = MakeDb(3, 40, 401);
-  auto window = QueryWindow::FromRanges(25, 6, 12, 3, 8).ValueOrDie();
-  QueryProcessor sequential(&db);
-
-  for (Plan plan : {Plan::kQueryBased, Plan::kObjectBased}) {
-    const auto want =
-        sequential.Exists(window, {.plan = plan}).ValueOrDie();
-    for (unsigned threads : {1u, 2u, 4u}) {
-      const auto got =
-          ParallelExists(db, window, {.plan = plan, .num_threads = threads})
-              .ValueOrDie();
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].id, want[i].id);
+  QueryRequest request;
+  request.window = QueryWindow::FromRanges(25, 6, 12, 3, 8).ValueOrDie();
+  QueryExecutor sequential(&db, {.num_threads = 1});
+  for (PlanChoice plan : {PlanChoice::kQueryBased, PlanChoice::kObjectBased}) {
+    request.plan = plan;
+    const auto want = sequential.Run(request).ValueOrDie();
+    ASSERT_EQ(want.probabilities.size(), 40u);
+    for (unsigned threads : {2u, 4u}) {
+      QueryExecutor parallel(&db, {.num_threads = threads});
+      const auto got = parallel.Run(request).ValueOrDie();
+      ASSERT_EQ(got.probabilities.size(), want.probabilities.size());
+      for (size_t i = 0; i < want.probabilities.size(); ++i) {
+        EXPECT_EQ(got.probabilities[i].id, want.probabilities[i].id);
         // Bit-identical: the same arithmetic runs per object either way.
-        EXPECT_DOUBLE_EQ(got[i].probability, want[i].probability)
+        EXPECT_EQ(got.probabilities[i].probability,
+                  want.probabilities[i].probability)
             << "plan " << static_cast<int>(plan) << " threads " << threads
             << " obj " << i;
       }
@@ -80,33 +53,17 @@ TEST(ParallelExistsTest, MatchesSequentialProcessorBothPlans) {
   }
 }
 
-TEST(ParallelExistsTest, MoreThreadsThanObjects) {
+TEST(ParallelQueryTest, MoreThreadsThanObjects) {
   Database db = MakeDb(1, 3, 402);
-  auto window = QueryWindow::FromRanges(25, 6, 12, 2, 5).ValueOrDie();
-  const auto got =
-      ParallelExists(db, window, {.num_threads = 32}).ValueOrDie();
-  EXPECT_EQ(got.size(), 3u);
-}
-
-TEST(ParallelExistsTest, RejectsMultiObservationObjects) {
-  util::Rng rng(403);
-  Database db;
-  const ChainId c = db.AddChain(RandomChain(10, 3, &rng));
-  std::vector<Observation> multi;
-  multi.push_back({0, RandomDistribution(10, 2, &rng)});
-  multi.push_back({4, RandomDistribution(10, 2, &rng)});
-  (void)db.AddObject(c, multi).ValueOrDie();
-  auto window = QueryWindow::FromRanges(10, 2, 5, 1, 3).ValueOrDie();
-  const auto r = ParallelExists(db, window);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kUnimplemented);
-}
-
-TEST(ParallelExistsTest, EmptyDatabase) {
-  Database db;
-  (void)db.AddChain(::ustdb::testing::PaperChainV());
-  auto window = QueryWindow::FromRanges(3, 0, 1, 2, 3).ValueOrDie();
-  EXPECT_TRUE(ParallelExists(db, window).ValueOrDie().empty());
+  QueryExecutor executor(&db, {.num_threads = 32});
+  const auto result =
+      executor
+          .Run({.predicate = PredicateKind::kExists,
+                .window = QueryWindow::FromRanges(25, 6, 12, 2, 5)
+                              .ValueOrDie()})
+          .ValueOrDie();
+  EXPECT_EQ(result.probabilities.size(), 3u);
+  EXPECT_EQ(result.stats.objects_evaluated, 3u);
 }
 
 }  // namespace

@@ -39,10 +39,20 @@ QueryRequest ExistsRequest(uint32_t num_states = 25) {
   return request;
 }
 
+/// The decision for one request evaluating `n` objects of chain 0: a
+/// batch group of one member.
+PlanDecision PlanOne(const QueryPlanner& planner, PredicateKind predicate,
+                     uint32_t n) {
+  const QueryRequest request = ExistsRequest();
+  const MemberLoad load{predicate, n};
+  return planner.PlanBatch(0, request.window, request.matrix_mode,
+                           {&load, 1});
+}
+
 TEST(PlannerTest, SingleObjectChainPrefersObjectBased) {
   Database db = MakeDb(4, 1, 11);
   QueryPlanner planner(&db);
-  const PlanDecision d = planner.Choose(0, ExistsRequest(), 1);
+  const PlanDecision d = PlanOne(planner, PredicateKind::kExists, 1);
   EXPECT_EQ(d.plan, Plan::kObjectBased);
   EXPECT_FALSE(d.forced);
   EXPECT_LE(d.cost.object_based, d.cost.query_based);
@@ -51,7 +61,7 @@ TEST(PlannerTest, SingleObjectChainPrefersObjectBased) {
 TEST(PlannerTest, ManyObjectChainPrefersQueryBased) {
   Database db = MakeDb(1, 50, 12);
   QueryPlanner planner(&db);
-  const PlanDecision d = planner.Choose(0, ExistsRequest(), 50);
+  const PlanDecision d = PlanOne(planner, PredicateKind::kExists, 50);
   EXPECT_EQ(d.plan, Plan::kQueryBased);
   EXPECT_GT(d.cost.object_based, d.cost.query_based);
 }
@@ -59,26 +69,11 @@ TEST(PlannerTest, ManyObjectChainPrefersQueryBased) {
 TEST(PlannerTest, ObjectBasedCostScalesLinearlyWithObjects) {
   Database db = MakeDb(1, 1, 13);
   QueryPlanner planner(&db);
-  const CostEstimate one = planner.Choose(0, ExistsRequest(), 1).cost;
-  const CostEstimate ten = planner.Choose(0, ExistsRequest(), 10).cost;
+  const CostEstimate one = PlanOne(planner, PredicateKind::kExists, 1).cost;
+  const CostEstimate ten = PlanOne(planner, PredicateKind::kExists, 10).cost;
   EXPECT_NEAR(ten.object_based, 10.0 * one.object_based, 1e-9);
   // QB amortizes the pass: going 1 -> 10 objects adds only dot products.
   EXPECT_LT(ten.query_based - one.query_based, one.query_based);
-}
-
-TEST(PlannerTest, ForcedPlanBypassesCostModel) {
-  Database db = MakeDb(1, 50, 14);
-  QueryPlanner planner(&db);
-  QueryRequest request = ExistsRequest();
-  request.plan = PlanChoice::kObjectBased;
-  const PlanDecision d = planner.Choose(0, request, 50);
-  EXPECT_EQ(d.plan, Plan::kObjectBased);  // despite 50 objects
-  EXPECT_TRUE(d.forced);
-
-  request.plan = PlanChoice::kQueryBased;
-  const PlanDecision d2 = planner.Choose(0, request, 1);
-  EXPECT_EQ(d2.plan, Plan::kQueryBased);  // despite 1 object
-  EXPECT_TRUE(d2.forced);
 }
 
 TEST(PlannerTest, ExplicitModeRaisesPassCost) {
@@ -104,28 +99,14 @@ TEST(PlannerTest, LongerReachRaisesPassCost) {
                              MatrixMode::kImplicit));
 }
 
-TEST(PlannerTest, PlanBatchWithOneMemberMatchesChoose) {
-  Database db = MakeDb(1, 10, 18);
-  QueryPlanner planner(&db);
-  const QueryRequest request = ExistsRequest();
-  for (uint32_t n : {1u, 3u, 10u, 50u}) {
-    const PlanDecision solo = planner.Choose(0, request, n);
-    const MemberLoad load{request.predicate, n};
-    const PlanDecision batch = planner.PlanBatch(
-        0, request.window, request.matrix_mode, {&load, 1});
-    EXPECT_EQ(batch.plan, solo.plan) << "n=" << n;
-    EXPECT_DOUBLE_EQ(batch.cost.object_based, solo.cost.object_based);
-    EXPECT_DOUBLE_EQ(batch.cost.query_based, solo.cost.query_based);
-  }
-}
-
 TEST(PlannerTest, PlanBatchAmortizesThePassAcrossMembers) {
   // One object per chain: solo prefers OB, but a growing group shares the
   // backward pass, so at some group size QB must win.
   Database db = MakeDb(1, 1, 19);
   QueryPlanner planner(&db);
   const QueryRequest request = ExistsRequest();
-  EXPECT_EQ(planner.Choose(0, request, 1).plan, Plan::kObjectBased);
+  EXPECT_EQ(PlanOne(planner, PredicateKind::kExists, 1).plan,
+            Plan::kObjectBased);
 
   std::vector<MemberLoad> members;
   Plan plan = Plan::kObjectBased;
@@ -184,12 +165,9 @@ TEST(PlannerTest, ThresholdDiscountShiftsBreakEven) {
   // object count must be at least as high as for plain exists.
   Database db = MakeDb(1, 2, 17);
   QueryPlanner planner(&db);
-  QueryRequest exists = ExistsRequest();
-  QueryRequest threshold = ExistsRequest();
-  threshold.predicate = PredicateKind::kThresholdExists;
-  threshold.tau = 0.5;
-  const CostEstimate e = planner.Choose(0, exists, 2).cost;
-  const CostEstimate t = planner.Choose(0, threshold, 2).cost;
+  const CostEstimate e = PlanOne(planner, PredicateKind::kExists, 2).cost;
+  const CostEstimate t =
+      PlanOne(planner, PredicateKind::kThresholdExists, 2).cost;
   EXPECT_LT(t.object_based, e.object_based);
   EXPECT_DOUBLE_EQ(t.query_based, e.query_based);
 }
@@ -270,22 +248,6 @@ TEST(PlannerTest, ThresholdPlanEmptyLoadsNeverBounds) {
       window, MatrixMode::kImplicit, PlanChoice::kAuto, {});
   EXPECT_NE(d.plan, Plan::kBoundsThenRefine);
   EXPECT_DOUBLE_EQ(d.cost.bounds_then_refine, 0.0);
-}
-
-TEST(PlannerTest, ChooseTreatsBoundsDirectiveAsCostBasedPerChain) {
-  // When the executor falls back from an ineligible window, per-chain
-  // decisions under kBoundsThenRefine must match kAuto, not pin a plan.
-  Database db = MakeDb(1, 50, 26);
-  QueryPlanner planner(&db);
-  QueryRequest request = ExistsRequest();
-  request.predicate = PredicateKind::kThresholdExists;
-  request.tau = 0.4;
-  request.plan = PlanChoice::kBoundsThenRefine;
-  const PlanDecision fallback = planner.Choose(0, request, 50);
-  request.plan = PlanChoice::kAuto;
-  const PlanDecision auto_choice = planner.Choose(0, request, 50);
-  EXPECT_EQ(fallback.plan, auto_choice.plan);
-  EXPECT_FALSE(fallback.forced);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-#include "core/processor.h"
-
+// Identities between the query predicates (Sections IV-V), checked end to
+// end through QueryExecutor::Run.
 #include <gtest/gtest.h>
 
-#include <numeric>
-
+#include "core/executor.h"
 #include "testing/random_models.h"
 #include "util/rng.h"
 
@@ -11,149 +10,64 @@ namespace ustdb {
 namespace core {
 namespace {
 
-using ::ustdb::testing::PaperChainV;
-using ::ustdb::testing::PaperChainVI;
 using ::ustdb::testing::RandomChain;
 using ::ustdb::testing::RandomDistribution;
 
-TEST(ProcessorTest, ExistsOnPaperExample) {
+Database MakeDb(uint32_t num_objects, uint64_t seed, uint32_t num_states) {
+  util::Rng rng(seed);
   Database db;
-  const ChainId c = db.AddChain(PaperChainV());
-  (void)db.AddObjectAt(c, sparse::ProbVector::Delta(3, 1)).ValueOrDie();
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(3, 0, 1, 2, 3).ValueOrDie();
-  const auto results = processor.Exists(window).ValueOrDie();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].id, 0u);
-  EXPECT_NEAR(results[0].probability, 0.864, 1e-12);
-}
-
-TEST(ProcessorTest, PlansAgreeAcrossMixedDatabase) {
-  util::Rng rng(808);
-  Database db;
-  const ChainId a = db.AddChain(RandomChain(20, 3, &rng));
-  const ChainId b = db.AddChain(RandomChain(20, 4, &rng));
-  for (int i = 0; i < 15; ++i) {
-    (void)db.AddObjectAt(i % 2 ? a : b, RandomDistribution(20, 3, &rng))
+  const ChainId c = db.AddChain(RandomChain(num_states, 3, &rng));
+  for (uint32_t i = 0; i < num_objects; ++i) {
+    (void)db.AddObjectAt(c, RandomDistribution(num_states, 2, &rng))
         .ValueOrDie();
   }
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(20, 5, 9, 3, 7).ValueOrDie();
+  return db;
+}
 
-  const auto ob =
-      processor.Exists(window, {.plan = Plan::kObjectBased}).ValueOrDie();
-  const auto qb =
-      processor.Exists(window, {.plan = Plan::kQueryBased}).ValueOrDie();
-  const auto explicit_qb =
-      processor
-          .Exists(window, {.plan = Plan::kQueryBased,
-                           .matrix_mode = MatrixMode::kExplicit})
+TEST(QueryProcessingTest, ForAllComplementsExists) {
+  // PST∀Q over S□ is 1 − PST∃Q over the complement of S□.
+  Database db = MakeDb(10, 909, 15);
+  QueryExecutor executor(&db);
+  const QueryWindow window =
+      QueryWindow::FromRanges(15, 4, 9, 2, 5).ValueOrDie();
+  const auto forall =
+      executor.Run({.predicate = PredicateKind::kForAll, .window = window})
           .ValueOrDie();
-  ASSERT_EQ(ob.size(), qb.size());
-  for (size_t i = 0; i < ob.size(); ++i) {
-    EXPECT_EQ(ob[i].id, qb[i].id);
-    EXPECT_NEAR(ob[i].probability, qb[i].probability, 1e-10);
-    EXPECT_NEAR(ob[i].probability, explicit_qb[i].probability, 1e-10);
-  }
-}
-
-TEST(ProcessorTest, MultiObservationObjectsRoutedAutomatically) {
-  Database db;
-  const ChainId c = db.AddChain(PaperChainVI());
-  // Section VI's object: observed at s1@t0 and s2@t3.
-  std::vector<Observation> obs;
-  obs.push_back({0, sparse::ProbVector::Delta(3, 0)});
-  obs.push_back({3, sparse::ProbVector::Delta(3, 1)});
-  (void)db.AddObject(c, obs).ValueOrDie();
-  // And a plain single-observation object.
-  (void)db.AddObjectAt(c, sparse::ProbVector::Delta(3, 1)).ValueOrDie();
-
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(3, 0, 1, 1, 2).ValueOrDie();
-  const auto results = processor.Exists(window).ValueOrDie();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_NEAR(results[0].probability, 0.0, 1e-12);  // paper's example
-  EXPECT_GT(results[1].probability, 0.0);
-}
-
-TEST(ProcessorTest, ForAllComplementsExists) {
-  util::Rng rng(909);
-  Database db;
-  const ChainId c = db.AddChain(RandomChain(15, 3, &rng));
-  for (int i = 0; i < 10; ++i) {
-    (void)db.AddObjectAt(c, RandomDistribution(15, 2, &rng)).ValueOrDie();
-  }
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(15, 4, 9, 2, 5).ValueOrDie();
-
-  const auto forall = processor.ForAll(window).ValueOrDie();
   const auto exists_complement =
-      processor.Exists(window.WithComplementRegion()).ValueOrDie();
-  ASSERT_EQ(forall.size(), exists_complement.size());
-  for (size_t i = 0; i < forall.size(); ++i) {
-    EXPECT_NEAR(forall[i].probability,
-                1.0 - exists_complement[i].probability, 1e-12);
+      executor
+          .Run({.predicate = PredicateKind::kExists,
+                .window = window.WithComplementRegion()})
+          .ValueOrDie();
+  ASSERT_EQ(forall.probabilities.size(), 10u);
+  ASSERT_EQ(forall.probabilities.size(),
+            exists_complement.probabilities.size());
+  for (size_t i = 0; i < forall.probabilities.size(); ++i) {
+    EXPECT_EQ(forall.probabilities[i].id,
+              exists_complement.probabilities[i].id);
+    EXPECT_NEAR(forall.probabilities[i].probability,
+                1.0 - exists_complement.probabilities[i].probability, 1e-12);
   }
 }
 
-TEST(ProcessorTest, KTimesDistributionsSumToOne) {
-  util::Rng rng(111);
-  Database db;
-  const ChainId c = db.AddChain(RandomChain(12, 3, &rng));
-  for (int i = 0; i < 8; ++i) {
-    (void)db.AddObjectAt(c, RandomDistribution(12, 3, &rng)).ValueOrDie();
+TEST(QueryProcessingTest, KTimesConsistentWithExists) {
+  // Visiting the window at least once is the complement of zero visits.
+  Database db = MakeDb(6, 222, 12);
+  QueryExecutor executor(&db);
+  const QueryWindow window =
+      QueryWindow::FromRanges(12, 3, 6, 1, 4).ValueOrDie();
+  const auto ktimes =
+      executor.Run({.predicate = PredicateKind::kKTimes, .window = window})
+          .ValueOrDie();
+  const auto exists =
+      executor.Run({.predicate = PredicateKind::kExists, .window = window})
+          .ValueOrDie();
+  ASSERT_EQ(ktimes.distributions.size(), 6u);
+  ASSERT_EQ(ktimes.distributions.size(), exists.probabilities.size());
+  for (size_t i = 0; i < ktimes.distributions.size(); ++i) {
+    EXPECT_EQ(ktimes.distributions[i].id, exists.probabilities[i].id);
+    EXPECT_NEAR(1.0 - ktimes.distributions[i].distribution[0],
+                exists.probabilities[i].probability, 1e-10);
   }
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(12, 3, 6, 1, 4).ValueOrDie();
-  const auto results = processor.KTimes(window).ValueOrDie();
-  ASSERT_EQ(results.size(), 8u);
-  for (const ObjectKTimes& r : results) {
-    ASSERT_EQ(r.distribution.size(), window.num_times() + 1);
-    const double total =
-        std::accumulate(r.distribution.begin(), r.distribution.end(), 0.0);
-    EXPECT_NEAR(total, 1.0, 1e-9);
-  }
-}
-
-TEST(ProcessorTest, KTimesConsistentWithExists) {
-  util::Rng rng(222);
-  Database db;
-  const ChainId c = db.AddChain(RandomChain(12, 3, &rng));
-  for (int i = 0; i < 6; ++i) {
-    (void)db.AddObjectAt(c, RandomDistribution(12, 3, &rng)).ValueOrDie();
-  }
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(12, 3, 6, 1, 4).ValueOrDie();
-  const auto ktimes = processor.KTimes(window).ValueOrDie();
-  const auto exists = processor.Exists(window).ValueOrDie();
-  for (size_t i = 0; i < ktimes.size(); ++i) {
-    EXPECT_NEAR(1.0 - ktimes[i].distribution[0], exists[i].probability,
-                1e-10);
-  }
-}
-
-TEST(ProcessorTest, KTimesRejectsMultiObservationObjects) {
-  Database db;
-  const ChainId c = db.AddChain(PaperChainVI());
-  std::vector<Observation> obs;
-  obs.push_back({0, sparse::ProbVector::Delta(3, 0)});
-  obs.push_back({3, sparse::ProbVector::Delta(3, 1)});
-  (void)db.AddObject(c, obs).ValueOrDie();
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(3, 0, 1, 1, 2).ValueOrDie();
-  const auto r = processor.KTimes(window);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kUnimplemented);
-}
-
-TEST(ProcessorTest, EmptyDatabaseYieldsEmptyResults) {
-  Database db;
-  (void)db.AddChain(PaperChainV());
-  QueryProcessor processor(&db);
-  auto window = QueryWindow::FromRanges(3, 0, 1, 2, 3).ValueOrDie();
-  EXPECT_TRUE(processor.Exists(window).ValueOrDie().empty());
-  EXPECT_TRUE(processor.ForAll(window).ValueOrDie().empty());
-  EXPECT_TRUE(processor.KTimes(window).ValueOrDie().empty());
 }
 
 }  // namespace

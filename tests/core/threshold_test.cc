@@ -1,8 +1,11 @@
-#include "core/threshold.h"
+// The threshold (PST∃Q ≥ τ) and top-k predicates through
+// QueryExecutor::Run under every plan: object-based with τ-early
+// termination, query-based, and the Section V-C cluster bound pass.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "core/executor.h"
 #include "testing/random_models.h"
@@ -34,6 +37,33 @@ Fixture MakeSharedChainFixture(uint32_t n, uint32_t num_objects,
   return f;
 }
 
+/// Threshold answer of a fresh sequential executor under `plan`; `stats`
+/// (optional) receives the run's prune counters.
+std::vector<ObjectProbability> Threshold(const Database& db,
+                                         const QueryWindow& window,
+                                         double tau, PlanChoice plan,
+                                         PruneStats* stats = nullptr) {
+  QueryExecutor executor(&db, {.num_threads = 1});
+  QueryResult result = executor
+                           .Run({.predicate = PredicateKind::kThresholdExists,
+                                 .window = window,
+                                 .tau = tau,
+                                 .plan = plan})
+                           .ValueOrDie();
+  if (stats != nullptr) *stats = result.stats.prune;
+  return std::move(result.probabilities);
+}
+
+/// Top-k answer of a fresh sequential executor.
+std::vector<ObjectProbability> TopK(const Database& db,
+                                    const QueryWindow& window, uint32_t k) {
+  QueryExecutor executor(&db, {.num_threads = 1});
+  return executor
+      .Run({.predicate = PredicateKind::kTopKExists, .window = window, .k = k})
+      .ValueOrDie()
+      .probabilities;
+}
+
 /// Ground truth by per-object QB evaluation.
 std::map<ObjectId, double> AllProbabilities(const Database& db,
                                             const QueryWindow& window) {
@@ -53,8 +83,7 @@ TEST(ThresholdTest, QueryBasedMatchesBruteForce) {
   Fixture f = MakeSharedChainFixture(30, 50, 101);
   const auto truth = AllProbabilities(f.db, f.window);
   for (double tau : {0.05, 0.3, 0.7}) {
-    const auto got =
-        ThresholdExistsQueryBased(f.db, f.window, tau).ValueOrDie();
+    const auto got = Threshold(f.db, f.window, tau, PlanChoice::kQueryBased);
     std::vector<ObjectId> want_ids;
     for (const auto& [id, p] : truth) {
       if (p >= tau) want_ids.push_back(id);
@@ -70,10 +99,8 @@ TEST(ThresholdTest, QueryBasedMatchesBruteForce) {
 TEST(ThresholdTest, ObjectBasedAgreesWithQueryBased) {
   Fixture f = MakeSharedChainFixture(25, 40, 202);
   for (double tau : {0.1, 0.5, 0.9}) {
-    const auto qb = ThresholdExistsQueryBased(f.db, f.window, tau).ValueOrDie();
-    PruneStats stats;
-    const auto ob =
-        ThresholdExistsObjectBased(f.db, f.window, tau, &stats).ValueOrDie();
+    const auto qb = Threshold(f.db, f.window, tau, PlanChoice::kQueryBased);
+    const auto ob = Threshold(f.db, f.window, tau, PlanChoice::kObjectBased);
     ASSERT_EQ(qb.size(), ob.size()) << "tau " << tau;
     for (size_t i = 0; i < qb.size(); ++i) {
       EXPECT_EQ(qb[i].id, ob[i].id);
@@ -87,16 +114,14 @@ TEST(ThresholdTest, ObjectBasedEarlyTerminationTriggers) {
   // t_end or residual collapse).
   Fixture f = MakeSharedChainFixture(20, 60, 303);
   PruneStats stats;
-  (void)ThresholdExistsObjectBased(f.db, f.window, 0.5, &stats).ValueOrDie();
+  (void)Threshold(f.db, f.window, 0.5, PlanChoice::kObjectBased, &stats);
   EXPECT_GT(stats.objects_decided_early, 0u);
 }
 
 /// The bound-pass accounting contract (see PruneStats): every evaluated
 /// object was either dropped by the interval bounds or refined — exactly
 /// once each — and every bounded cluster was either pruned wholesale or
-/// refined. The pre-fold-in facade violated this: sure-hit objects were
-/// neither counted decided nor refined, and object-based refinement could
-/// double-count early-terminated objects.
+/// refined.
 void ExpectPruneAccounting(const PruneStats& stats, uint32_t num_objects) {
   EXPECT_EQ(stats.objects_decided_by_bounds + stats.objects_refined,
             num_objects);
@@ -129,8 +154,7 @@ TEST(ThresholdTest, ClusteredMatchesBruteForceOnMultiChainDb) {
   for (double tau : {0.2, 0.6}) {
     PruneStats stats;
     const auto got =
-        ThresholdExistsClustered(db, window, tau, /*num_clusters=*/3, &stats)
-            .ValueOrDie();
+        Threshold(db, window, tau, PlanChoice::kBoundsThenRefine, &stats);
     std::vector<ObjectId> want_ids;
     for (const auto& [id, p] : truth) {
       if (p >= tau) want_ids.push_back(id);
@@ -176,7 +200,7 @@ TEST(ThresholdTest, ClusteredAccountingOnMixedChainClasses) {
   for (double tau : {0.15, 0.5, 0.9}) {
     PruneStats stats;
     const auto got =
-        ThresholdExistsClustered(db, window, tau, 2, &stats).ValueOrDie();
+        Threshold(db, window, tau, PlanChoice::kBoundsThenRefine, &stats);
     EXPECT_EQ(stats.clusters_total, 2u) << "tau " << tau;
     ExpectPruneAccounting(stats, db.num_objects());
     // Multi-observation objects can never be decided by the t=0 bounds.
@@ -204,7 +228,7 @@ TEST(ThresholdTest, ClusteredPrunesAtExtremeTaus) {
   auto window = QueryWindow::FromRanges(25, 5, 9, 2, 5).ValueOrDie();
   PruneStats stats;
   const auto got =
-      ThresholdExistsClustered(db, window, 1.1, 2, &stats).ValueOrDie();
+      Threshold(db, window, 1.1, PlanChoice::kBoundsThenRefine, &stats);
   EXPECT_TRUE(got.empty());
   EXPECT_GT(stats.clusters_total, 0u);
   EXPECT_EQ(stats.clusters_pruned, stats.clusters_total);
@@ -212,24 +236,31 @@ TEST(ThresholdTest, ClusteredPrunesAtExtremeTaus) {
   ExpectPruneAccounting(stats, db.num_objects());
 }
 
-TEST(ThresholdTest, ClusteredRejectsZeroClusters) {
-  Fixture f = MakeSharedChainFixture(10, 5, 1);
-  EXPECT_FALSE(ThresholdExistsClustered(f.db, f.window, 0.5, 0).ok());
-}
-
 TEST(ThresholdTest, ClusteredFallsBackObservablyOnNonContiguousWindow) {
   // A time set with holes cannot be bounded over [t_begin, t_end]; the
-  // forced bound plan must fall back to per-chain planning, report it,
-  // and still answer exactly.
+  // forced bound plan must fall back to per-chain planning — cost-based,
+  // exactly as under kAuto — report it, and still answer exactly.
   Fixture f = MakeSharedChainFixture(25, 40, 808);
   const auto region = sparse::IndexSet::FromRange(25, 6, 12).ValueOrDie();
   const auto window =
       QueryWindow::Create(region, {2, 4, 7}).ValueOrDie();
   const auto truth = AllProbabilities(f.db, window);
 
-  PruneStats stats;
-  const auto got =
-      ThresholdExistsClustered(f.db, window, 0.3, 2, &stats).ValueOrDie();
+  QueryExecutor executor(&f.db, {.num_threads = 1});
+  QueryRequest request{.predicate = PredicateKind::kThresholdExists,
+                       .window = window,
+                       .tau = 0.3,
+                       .plan = PlanChoice::kBoundsThenRefine};
+  const QueryResult forced = executor.Run(request).ValueOrDie();
+  request.plan = PlanChoice::kAuto;
+  const QueryResult automatic = executor.Run(request).ValueOrDie();
+  EXPECT_EQ(forced.stats.chains_object_based,
+            automatic.stats.chains_object_based);
+  EXPECT_EQ(forced.stats.chains_query_based,
+            automatic.stats.chains_query_based);
+
+  const PruneStats& stats = forced.stats.prune;
+  const std::vector<ObjectProbability>& got = forced.probabilities;
   EXPECT_EQ(stats.bound_fallbacks, 1u);
   EXPECT_EQ(stats.clusters_bounded, 0u);
   EXPECT_EQ(stats.objects_decided_by_bounds, 0u);
@@ -247,7 +278,7 @@ TEST(ThresholdTest, ClusteredFallsBackObservablyOnNonContiguousWindow) {
 TEST(TopKTest, ReturnsHighestProbabilityObjects) {
   Fixture f = MakeSharedChainFixture(30, 40, 606);
   const auto truth = AllProbabilities(f.db, f.window);
-  const auto top5 = TopKExists(f.db, f.window, 5).ValueOrDie();
+  const auto top5 = TopK(f.db, f.window, 5);
   ASSERT_EQ(top5.size(), 5u);
   // Descending order.
   for (size_t i = 1; i < top5.size(); ++i) {
@@ -264,7 +295,7 @@ TEST(TopKTest, ReturnsHighestProbabilityObjects) {
 
 TEST(TopKTest, KLargerThanDatabaseReturnsEverything) {
   Fixture f = MakeSharedChainFixture(10, 7, 707);
-  const auto all = TopKExists(f.db, f.window, 100).ValueOrDie();
+  const auto all = TopK(f.db, f.window, 100);
   EXPECT_EQ(all.size(), 7u);
 }
 

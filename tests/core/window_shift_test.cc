@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/database.h"
@@ -99,25 +100,38 @@ TEST(WindowShiftTest, CacheExtendsFromNearestSameEpochBase) {
       QueryWindow::FromRanges(kStates, 4, 11, 2, 6).ValueOrDie();
 
   EngineCache cache(8);
-  ASSERT_NE(cache.Get(&chain, w0, /*epoch=*/0), nullptr);
-  ASSERT_NE(cache.Get(&chain, w0.ShiftedBy(1), 0), nullptr);
+  ASSERT_NE(cache.Put(&chain, w0,
+                      std::make_unique<QueryBasedEngine>(&chain, w0),
+                      /*epoch=*/0),
+            nullptr);
+  // w0+1 misses and finds w0 as its base, one step back; the extension is
+  // admitted like any built pass.
+  const QueryWindow w1 = w0.ShiftedBy(1);
+  EXPECT_EQ(cache.Lookup(&chain, w1, 0), nullptr);
+  Timestamp delta = 0;
+  const QueryBasedEngine* base = cache.LookupShiftBase(&chain, w1, 0, &delta);
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(delta, 1u);
+  ASSERT_NE(cache.Put(&chain, w1,
+                      std::make_unique<QueryBasedEngine>(*base, w1, delta), 0),
+            nullptr);
   EXPECT_EQ(cache.stats().shift_extends, 1u);
 
   // Nearest base wins: w0+1 (delta 2), not w0 (delta 3). The probe
   // itself counts a shift_extend — callers pair it with the miss that
   // motivated it.
-  Timestamp delta = 0;
-  ASSERT_NE(cache.LookupShiftBase(&chain, w0.ShiftedBy(3), 0, &delta),
-            nullptr);
+  const QueryWindow w3 = w0.ShiftedBy(3);
+  delta = 0;
+  base = cache.LookupShiftBase(&chain, w3, 0, &delta);
+  ASSERT_NE(base, nullptr);
   EXPECT_EQ(delta, 2u);
   EXPECT_EQ(cache.stats().shift_extends, 2u);
 
-  // A Get() on the shifted window extends; the result must match a cold
-  // engine for that window.
-  const QueryBasedEngine* extended = cache.Get(&chain, w0.ShiftedBy(3), 0);
+  // The extension must match a cold engine for that window.
+  const QueryBasedEngine* extended = cache.Put(
+      &chain, w3, std::make_unique<QueryBasedEngine>(*base, w3, delta), 0);
   ASSERT_NE(extended, nullptr);
-  EXPECT_EQ(cache.stats().shift_extends, 3u);
-  const QueryBasedEngine cold(&chain, w0.ShiftedBy(3));
+  const QueryBasedEngine cold(&chain, w3);
   ExpectStartVectorParity(*extended, cold);
 
   // A base at a stale epoch is no shift base: at epoch 1 nothing in the

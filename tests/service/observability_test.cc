@@ -150,10 +150,17 @@ TEST(ObservabilityTest, MixedWorkloadPopulatesEveryFamilyEndToEnd) {
     EXPECT_TRUE(stage_names.count(stage)) << stage;
   }
   uint64_t stage_observations = 0;
+  uint64_t bound_observations = 0;
   for (const obs::MetricPoint& point : stages->points) {
     stage_observations += point.histogram.count;
+    if (point.labels.at("stage") == "bound") {
+      bound_observations += point.histogram.count;
+    }
   }
   EXPECT_GT(stage_observations, 0u);
+  // The forced bound-plan threshold requests ran the Section V-C pass, and
+  // each pass is observed under its own stage, not folded into "plan".
+  EXPECT_GT(bound_observations, 0u);
 
   // --- plan family ---
   const obs::MetricFamily* chains =

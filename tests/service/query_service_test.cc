@@ -294,8 +294,8 @@ TEST(QueryServiceTest, BurstOverflowRejectsEvenUnderBlockPolicy) {
 // Priority: a paused service holds one bulk and one interactive request
 // (submitted in that order). Dispatches never cross lanes, so the
 // interactive request runs in its own earlier dispatch — observable
-// because its solo run pays the cold cache miss while the later bulk run
-// hits the pass the interactive run admitted.
+// because its one-member run pays the cold cache miss while the later
+// bulk run hits the pass the interactive run admitted.
 TEST(QueryServiceTest, InteractiveLaneDrainsBeforeBulk) {
   core::Database db = MakeDb(29);
   ServiceOptions options = OneThreadOptions();
@@ -311,8 +311,9 @@ TEST(QueryServiceTest, InteractiveLaneDrainsBeforeBulk) {
   const auto bulk_result = bulk.Get();
   ASSERT_TRUE(interactive_result.ok());
   ASSERT_TRUE(bulk_result.ok());
-  EXPECT_EQ(interactive_result.value().stats.batch_group_members, 0u);
-  EXPECT_EQ(bulk_result.value().stats.batch_group_members, 0u);
+  // Each single-entry drain runs as a one-member batch group.
+  EXPECT_EQ(interactive_result.value().stats.batch_group_members, 1u);
+  EXPECT_EQ(bulk_result.value().stats.batch_group_members, 1u);
   EXPECT_EQ(interactive_result.value().stats.cache_misses, 1u);
   EXPECT_EQ(interactive_result.value().stats.cache_hits, 0u);
   EXPECT_EQ(bulk_result.value().stats.cache_hits, 1u);

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -421,10 +422,15 @@ TEST_P(SubscriptionShardParityTest, RefreshMatchesOneShot) {
     const size_t index = standing->size();
     standing->push_back({});
     (*standing)[index].base = request;
+    // The callback holds `standing` weakly: each Standing owns its
+    // Subscription, whose state owns this callback, so a strong capture
+    // would be a reference cycle that outlives the test.
     auto sub = service.Subscribe(
         std::move(request), WindowPolicy{.slide = slide},
-        [standing, index](const SubscriptionDelta& d) {
-          Standing& s = (*standing)[index];
+        [weak = std::weak_ptr(standing), index](const SubscriptionDelta& d) {
+          const auto list = weak.lock();
+          if (list == nullptr) return;
+          Standing& s = (*list)[index];
           EXPECT_EQ(d.sequence, s.last_seq + 1) << "sequence gap";
           s.last_seq = d.sequence;
           Apply(&s.mirror, d);

@@ -23,6 +23,18 @@ TEST(ResolveThreadCountTest, ZeroRequestIsAtLeastOne) {
   EXPECT_GE(ResolveThreadCount(0), 1u);
 }
 
+TEST(ParallelChunksTest, CoversEveryIndexExactlyOnce) {
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    std::vector<int> hits(1000, 0);
+    ParallelChunks(hits.size(), threads, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i], 1) << "index " << i << " threads " << threads;
+    }
+  }
+}
+
 TEST(ParallelChunksTest, EmptyRangeRunsInlineWithoutThreads) {
   const std::thread::id main_id = std::this_thread::get_id();
   int calls = 0;
