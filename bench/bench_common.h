@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "core/database.h"
+#include "core/shard_router.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
 
@@ -197,6 +199,20 @@ void TimedIterations(benchmark::State& state, const std::string& series,
     state.SetIterationTime(seconds);
   }
   Recorder::Instance().Record(series, x, seconds);
+}
+
+/// \brief Loads a generated Database into a one-shard ShardedDatabase, the
+/// form a QueryService serves: same chains and objects, same ids.
+inline core::ShardedDatabase LoadOneShard(const core::Database& db) {
+  core::ShardedDatabase one(core::ShardingOptions{.num_shards = 1});
+  for (ChainId c = 0; c < db.num_chains(); ++c) {
+    one.AddChain(markov::MarkovChain(db.chain(c)));
+  }
+  for (ObjectId id = 0; id < db.num_objects(); ++id) {
+    const core::UncertainObject& object = db.object(id);
+    (void)one.AddObject(object.chain, object.observations).ValueOrDie();
+  }
+  return one;
 }
 
 /// Removes `flag` from argv if present; returns whether it was there.

@@ -124,9 +124,9 @@ struct RoundCost {
 /// requests. Also runs the delta-reconstruction parity check.
 RoundCost RunConfig(uint32_t num_queries, uint32_t updates_per_round) {
   const workload::SyntheticConfig config = Config();
-  core::Database db =
+  core::ShardedDatabase db = benchutil::LoadOneShard(
       workload::GenerateMultiChainDatabase(config, kChains, 0.05)
-          .ValueOrDie();
+          .ValueOrDie());
 
   service::ServiceOptions options;
   options.executor.num_threads = 1;
@@ -172,8 +172,8 @@ RoundCost RunConfig(uint32_t num_queries, uint32_t updates_per_round) {
     for (uint32_t j = 0; j < updates_per_round; ++j) {
       const ObjectId id =
           static_cast<ObjectId>(j % config.num_objects);
-      const auto version =
-          service.AppendObservation(id, ReachableObs(db, id, config));
+      const auto version = service.AppendObservation(
+          id, ReachableObs(db.shard(0), id, config));
       if (!version.ok()) {
         std::fprintf(stderr, "append failed: %s\n",
                      version.status().ToString().c_str());
@@ -193,7 +193,7 @@ RoundCost RunConfig(uint32_t num_queries, uint32_t updates_per_round) {
 
     {
       util::Stopwatch sw;
-      core::QueryExecutor cold(&db, {.num_threads = 1});
+      core::QueryExecutor cold(&db.shard(0), {.num_threads = 1});
       for (uint32_t i = 0; i < num_queries; ++i) {
         core::QueryRequest request = StandingRequest(config, i);
         request.window = request.window.ShiftedBy(round);

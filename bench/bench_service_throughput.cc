@@ -76,7 +76,7 @@ constexpr size_t kBurst = 64;
 constexpr auto kResolveTimeout = std::chrono::milliseconds(60'000);
 
 struct Fixture {
-  core::Database db;
+  core::ShardedDatabase db;  // one shard
   core::QueryWindow burst_window;
   std::vector<core::QueryWindow> noise_windows;
   std::vector<core::QueryWindow> sustained_pool;  // Zipf-repeating stream
@@ -94,10 +94,10 @@ core::QueryRequest ExistsRequest(const core::QueryWindow& w) {
 void VerifyCoalescedBurstParity(const Fixture& f) {
   service::ServiceOptions options;
   options.executor.num_threads = 1;
-  options.start_paused = true;
   options.queue_capacity = 2 * kBurst;
   options.max_batch = kBurst;
   service::QueryService svc(&f.db, options);
+  svc.Pause();
   std::vector<core::QueryRequest> burst(kBurst,
                                         ExistsRequest(f.burst_window));
   std::vector<service::QueryTicket> tickets = svc.SubmitBurst(burst);
@@ -108,7 +108,7 @@ void VerifyCoalescedBurstParity(const Fixture& f) {
   std::vector<util::Result<core::QueryResult>> answers;
   for (service::QueryTicket& t : tickets) answers.push_back(t.Get());
 
-  core::QueryExecutor twin(&f.db, {.num_threads = 1});
+  core::QueryExecutor twin(&f.db.shard(0), {.num_threads = 1});
   const auto expected = twin.RunBatch(
       std::vector<core::QueryRequest>(kBurst, ExistsRequest(f.burst_window)));
 
@@ -152,7 +152,9 @@ Fixture& GetFixture() {
     config.num_states = g_full ? 50'000 : 10'000;
     config.num_objects = g_full ? 5'000 : 1'000;
     config.seed = 51;
-    Fixture f{workload::GenerateDatabase(config).ValueOrDie(), {}, {}, {}};
+    Fixture f{benchutil::LoadOneShard(
+                  workload::GenerateDatabase(config).ValueOrDie()),
+              {}, {}, {}};
 
     workload::QueryGenConfig qconfig;
     qconfig.num_states = config.num_states;
@@ -169,7 +171,7 @@ Fixture& GetFixture() {
         workload::RepeatingWorkload(qconfig, /*distinct_windows=*/8,
                                     /*count=*/4096)
             .ValueOrDie();
-    (void)f.db.chain(0).transposed();  // pre-warm the shared transpose
+    (void)f.db.shard(0).chain(0).transposed();  // pre-warm the transpose
     VerifyCoalescedBurstParity(f);
     cache.emplace(std::move(f));
   }
@@ -226,8 +228,7 @@ double MeasureBurst(const Fixture& f, bool coalesce, bool contended) {
   // One cache slot: background traffic over several windows evicts the
   // burst's backward pass between uncoalesced burst members.
   options.executor.cache_capacity = 1;
-  options.coalesce = coalesce;
-  options.max_batch = 2 * kBurst;
+  options.max_batch = coalesce ? 2 * kBurst : 1;
   options.queue_capacity = 1024;
   service::QueryService svc(&f.db, options);
 
@@ -266,8 +267,7 @@ SustainedResult MeasureSustained(const Fixture& f, bool coalesce,
   service::ServiceOptions options;
   options.executor.num_threads = 1;
   options.executor.cache_capacity = 4;  // pool has 8 distinct windows
-  options.coalesce = coalesce;
-  options.max_batch = kBurst;
+  options.max_batch = coalesce ? kBurst : 1;
   options.queue_capacity = 4096;
   service::QueryService svc(&f.db, options);
 
@@ -315,7 +315,7 @@ SustainedResult MeasureSustained(const Fixture& f, bool coalesce,
 double MeasureTracingQps(const Fixture& f, bool obs_on, size_t count) {
   service::ServiceOptions options;
   options.executor.num_threads = 1;
-  options.coalesce = false;  // per-request dispatch: max instrumented edges
+  options.max_batch = 1;  // per-request dispatch: max instrumented edges
   options.queue_capacity = count + 1;
   options.obs.enabled = obs_on;
   options.obs.trace_sample_every = 16;
@@ -459,14 +459,13 @@ service::ServiceOptions ShardedServiceOptions(const ShardMaterials& m) {
   // is bounded by engine builds — work a single dispatcher serializes and
   // shard lanes overlap.
   options.executor.cache_capacity = 2;
-  options.coalesce = false;  // strict per-request dispatch on every lane
+  options.max_batch = 1;  // strict per-request dispatch on every lane
   options.queue_capacity = m.num_requests;  // whole burst stages at once
   return options;
 }
 
 /// Bit-identity guard: the sharded service must answer the stream head
-/// exactly like the legacy single-executor service over the equivalent
-/// unsharded Database.
+/// exactly like a QueryExecutor over the equivalent unsharded Database.
 void VerifyShardedParity(const ShardMaterials& m) {
   core::Database unsharded;
   for (const markov::MarkovChain& chain : m.chains) {
@@ -480,11 +479,11 @@ void VerifyShardedParity(const ShardMaterials& m) {
 
   service::ServiceOptions options;
   options.executor.num_threads = 1;
-  service::QueryService legacy(&unsharded, options);
+  core::QueryExecutor twin(&unsharded, {.num_threads = 1});
   service::QueryService routed(sharded.get(), options);
 
   for (size_t i = 0; i < 24; ++i) {
-    auto expected = legacy.Submit(ShardRequest(m, i)).Get();
+    auto expected = twin.Run(ShardRequest(m, i));
     auto got = routed.Submit(ShardRequest(m, i)).Get();
     if (!expected.ok() || !got.ok()) {
       std::fprintf(stderr, "sharded parity: request %zu failed\n", i);

@@ -75,7 +75,8 @@ int main() {
               static_cast<unsigned long long>(chain.matrix().nnz()));
 
   // --- The fleet database: icebergs with uncertain sightings. -----------
-  core::Database db;
+  // One shard: a fleet this size needs no more than one executor.
+  core::ShardedDatabase db(core::ShardingOptions{.num_shards = 1});
   const ChainId drift = db.AddChain(std::move(chain));
 
   // Sightings are uncertain: a disk of cells around the reported position.
@@ -94,7 +95,7 @@ int main() {
               berg_c);
 
   // One service owns the whole monitoring session: the executor + engine
-  // cache behind it, the ingest path (mutable Database pointer), and the
+  // cache behind it, the ingest path (mutable database pointer), and the
   // standing subscriptions. Repeated and slid windows hit its cache.
   service::QueryService service(&db);
 

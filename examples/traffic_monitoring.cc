@@ -31,13 +31,15 @@ int main() {
               roads.IsConnected() ? "yes" : "no");
 
   // --- Motion models: cars and trucks turn with different preferences. ---
+  // One shard holds the whole fleet; the service at the end routes it.
   util::Rng rng(7);
-  core::Database db;
+  core::ShardedDatabase db(core::ShardingOptions{.num_shards = 1});
   const ChainId cars = db.AddChain(roads.ToMarkovChain(&rng).ValueOrDie());
   // Trucks follow a perturbed version of the car model (same streets,
   // different turning probabilities) — the Section V-C class setting.
   const ChainId trucks = db.AddChain(
-      workload::PerturbChain(db.chain(cars), 0.4, &rng).ValueOrDie());
+      workload::PerturbChain(db.routing_db().chain(cars), 0.4, &rng)
+          .ValueOrDie());
 
   // --- The fleet: 300 cars + 100 trucks with GPS-uncertain positions. ----
   auto gps_fix = [&](uint32_t junction) {
@@ -61,6 +63,9 @@ int main() {
   }
   std::printf("fleet: %u vehicles in %u classes\n\n", db.num_objects(),
               db.num_chains());
+  // The bare executor runs over the shard's Database, whose ids are the
+  // global ones.
+  const core::Database& fleet = db.shard(0);
 
   // --- The congested segment and the 10-15 minute horizon. ---------------
   // One timestep = one minute. The congested area is a cluster of
@@ -84,7 +89,7 @@ int main() {
   // The executor picks the plan per vehicle class (both classes are large,
   // so the cost model lands on the amortized query-based pass) and fans the
   // per-object work across the hardware threads.
-  core::QueryExecutor executor(&db);
+  core::QueryExecutor executor(&fleet);
   util::Stopwatch timer;
   const auto result =
       executor.Run({.predicate = core::PredicateKind::kExists,
@@ -142,7 +147,7 @@ int main() {
               static_cast<unsigned long long>(executor.cache_stats().hits));
   for (const auto& r : top) {
     std::printf("  vehicle %3u (%s): %.4f\n", r.id,
-                db.object(r.id).chain == cars ? "car  " : "truck",
+                fleet.object(r.id).chain == cars ? "car  " : "truck",
                 r.probability);
   }
 

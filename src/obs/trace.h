@@ -49,7 +49,7 @@ const char* StageName(Stage stage);
 struct TraceSpan {
   Stage stage = Stage::kQueue;
   /// Shard whose lane/executor recorded the span; -1 when not shard-bound
-  /// (submit-side and merge-side spans of an unsharded service).
+  /// (ingest and notify spans, and a bare QueryExecutor's spans).
   int32_t shard = -1;
   /// Optional annotation ("batch=8", "cache_misses=3").
   std::string detail;

@@ -46,9 +46,10 @@ namespace internal {
 
 /// Shared state behind one ticket: the pending request, its cancellation
 /// source, and the one-shot outcome slot. `mu` guards outcome/resolved/
-/// taken; the request itself is written at submit and — in sharded mode,
-/// where the router keeps it for merge metadata (object_filter) — read
-/// only by merging dispatchers afterwards.
+/// taken; the request itself is written at submit and only read
+/// afterwards — routing copies it into the per-shard subs, dispatchers
+/// read its trace, retry budget and deadline, the merge its predicate and
+/// object_filter.
 struct TicketState {
   std::mutex mu;
   std::condition_variable cv;
@@ -65,25 +66,11 @@ struct TicketState {
   std::atomic<uint32_t> retries{0};
 
   util::CancellationSource cancel;
+  /// request.trace is the sampled or caller-attached trace (null for the
+  /// untraced majority); request.cancel is the ticket-linked token.
   core::QueryRequest request;
   Priority priority = Priority::kInteractive;
   Clock::time_point submitted_at;
-  /// The request's trace (sampled or caller-attached), kept here because
-  /// legacy routing moves the request into its identity sub. Null for the
-  /// untraced majority.
-  std::shared_ptr<obs::QueryTrace> trace;
-  /// Stashed copy of request.predicate for the slow-query record (same
-  /// move-at-routing reason as `deadline` below).
-  core::PredicateKind predicate = core::PredicateKind::kExists;
-  /// Stashed copy of request.deadline: in legacy mode the request moves
-  /// into its identity sub at routing, before the submit-time deadline
-  /// check runs.
-  std::optional<Clock::time_point> deadline;
-  /// Stashed copies of the resilience knobs (same move-at-routing
-  /// reason): the retry budget survives the sub request being moved into
-  /// the executor, and the degrade willingness is read at admission.
-  core::RetryPolicy retry;
-  core::DegradeMode degrade_mode = core::DegradeMode::kNever;
 };
 
 /// One per-shard sub-request of a routed parent plus the metadata its
@@ -99,6 +86,11 @@ struct SubRoute {
   std::vector<ObjectId> positions;
   /// Retry attempts consumed by this sub; guarded by queue_mu_.
   uint32_t attempts = 0;
+  /// The health gate admitted this sub as its quarantined shard's one
+  /// probe: it alone may release the probe slot without an outcome
+  /// (admission refused, or cancelled/expired before running). Cleared
+  /// once the sub's first outcome reaches the tracker.
+  bool probe = false;
 };
 
 /// Scatter-gather state of one parent request: one slot per sub, filled
@@ -107,9 +99,6 @@ struct SubRoute {
 /// happen-before the merge via the acq_rel countdown).
 struct GatherState {
   std::shared_ptr<TicketState> parent;
-  /// Legacy single-executor mode: one sub, pass the outcome through
-  /// untouched (no id translation, no stats merge).
-  bool identity = false;
   /// The router pinned kAutoPerChain because a forced kBoundsThenRefine
   /// request had an ineligible (non-contiguous) window; the merge adds
   /// the single bound_fallbacks increment the unsharded executor would
@@ -477,27 +466,61 @@ void AccumulateStats(const core::ExecStats& in, core::ExecStats* out) {
   out->prune.bound_fallbacks += in.prune.bound_fallbacks;
 }
 
+/// The parent's id at result position `position`: its filter entry, or —
+/// without a filter — the global id `position` itself.
+ObjectId ParentId(const core::QueryRequest& request, ObjectId position) {
+  return request.object_filter.has_value()
+             ? (*request.object_filter)[position]
+             : position;
+}
+
+/// Position scatter of the kExists / kForAll / kKTimes answers: entry j of
+/// each answering sub lands at its recorded parent position, under the
+/// parent's id there. With `compact`, positions no sub filled (a failed
+/// shard's, or every one of a bounds-only answer) are dropped and the
+/// rest keep parent order.
+template <typename Entry>
+std::vector<Entry> ScatterByPosition(
+    GatherState* gather, std::vector<Entry> core::QueryResult::*entries,
+    bool compact) {
+  const core::QueryRequest& request = gather->parent->request;
+  size_t total = 0;
+  for (const SubRoute& sub : gather->subs) total += sub.positions.size();
+  std::vector<Entry> out(total);
+  std::vector<char> filled(compact ? total : 0, 0);
+  for (size_t i = 0; i < gather->subs.size(); ++i) {
+    if (!gather->results[i]->ok()) continue;
+    std::vector<Entry>& answer = gather->results[i]->value().*entries;
+    const std::vector<ObjectId>& positions = gather->subs[i].positions;
+    for (size_t j = 0; j < answer.size(); ++j) {
+      Entry& slot = out[positions[j]];
+      slot = std::move(answer[j]);
+      slot.id = ParentId(request, positions[j]);
+      if (compact) filled[positions[j]] = 1;
+    }
+  }
+  if (compact) {
+    size_t kept = 0;
+    for (size_t p = 0; p < total; ++p) {
+      if (!filled[p]) continue;
+      // Never self-move: a moved-onto-itself vector may come out empty.
+      if (kept != p) out[kept] = std::move(out[p]);
+      ++kept;
+    }
+    out.resize(kept);
+  }
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // QueryService
 // ---------------------------------------------------------------------------
 
-QueryService::QueryService(const core::Database* db, ServiceOptions options)
-    : db_(db), options_(Sanitize(options)), paused_(options.start_paused) {
-  core::ExecutorOptions exec = options_.executor;
-  exec.obs = options_.obs;
-  exec.obs.labels["shard"] = "0";
-  shards_.push_back(std::make_unique<ShardLane>(db, exec, options_.health));
-  if (options_.obs.enabled) {
-    obs_ = std::make_unique<ObsHandles>(options_.obs, 1);
-  }
-  shards_[0]->dispatcher = std::thread([this] { DispatcherLoop(0); });
-}
-
 QueryService::QueryService(const core::ShardedDatabase* db,
                            ServiceOptions options)
-    : sharded_(db), options_(Sanitize(options)), paused_(options.start_paused) {
+    : sharded_(db), options_(Sanitize(options)) {
   // Slice the worker budget evenly: ExecutorOptions::num_threads is the
   // TOTAL (0 = hardware default), each shard executor gets its share,
   // never less than one worker.
@@ -521,12 +544,6 @@ QueryService::QueryService(const core::ShardedDatabase* db,
   }
 }
 
-QueryService::QueryService(core::Database* db, ServiceOptions options)
-    : QueryService(static_cast<const core::Database*>(db),
-                   std::move(options)) {
-  mutable_db_ = db;
-}
-
 QueryService::QueryService(core::ShardedDatabase* db, ServiceOptions options)
     : QueryService(static_cast<const core::ShardedDatabase*>(db),
                    std::move(options)) {
@@ -540,22 +557,15 @@ std::shared_ptr<TicketState> QueryService::PrepareState(
   auto state = std::make_shared<TicketState>();
   state->priority = priority;
   state->submitted_at = Clock::now();
-  state->deadline = request.deadline;
-  state->predicate = request.predicate;
-  state->retry = request.retry;
-  state->degrade_mode = request.degrade;
   // Trace attachment: honor a caller-supplied trace always; otherwise
   // sample every Nth submission (epoch = the submission instant just
   // stamped, so span offsets read as time-since-submit).
-  if (request.trace != nullptr) {
-    state->trace = request.trace;
-  } else if (obs_ != nullptr && options_.obs.trace_sample_every > 0) {
+  if (request.trace == nullptr && obs_ != nullptr &&
+      options_.obs.trace_sample_every > 0) {
     const uint64_t seq =
         submit_seq_.fetch_add(1, std::memory_order_relaxed);
     if (seq % options_.obs.trace_sample_every == 0) {
-      state->trace =
-          std::make_shared<obs::QueryTrace>(state->submitted_at);
-      request.trace = state->trace;
+      request.trace = std::make_shared<obs::QueryTrace>(state->submitted_at);
       obs_->traces_sampled->Add(1);
     }
   }
@@ -578,122 +588,112 @@ util::Status QueryService::BuildRoute(
   auto gather = std::make_shared<GatherState>();
   gather->parent = state;
 
-  if (sharded_ == nullptr) {
-    // Legacy single-executor mode: one identity sub; the executor sees
-    // the caller's request verbatim (filter validation included).
-    gather->identity = true;
-    SubRoute sub;
-    sub.shard = 0;
-    sub.request = std::move(state->request);
-    gather->subs.push_back(std::move(sub));
+  const core::QueryRequest& req = state->request;
+  const uint32_t num_shards = sharded_->num_shards();
+  const bool filtered = req.object_filter.has_value();
+
+  // Bucket the evaluated set per shard, translating global object ids
+  // to shard-local ones and remembering each entry's parent result
+  // position. Without a filter every shard evaluates its whole local
+  // database, whose local order IS ascending global order.
+  std::vector<std::vector<ObjectId>> filters(num_shards);
+  std::vector<std::vector<ObjectId>> positions(num_shards);
+  if (filtered) {
+    for (size_t p = 0; p < req.object_filter->size(); ++p) {
+      const ObjectId global = (*req.object_filter)[p];
+      if (global >= sharded_->num_objects()) {
+        // Same error the executor reports on an untranslatable filter.
+        return util::Status::InvalidArgument(
+            "object_filter references an id outside the database");
+      }
+      const uint32_t s = sharded_->shard_of_object(global);
+      filters[s].push_back(sharded_->local_object(global));
+      positions[s].push_back(static_cast<ObjectId>(p));
+    }
   } else {
-    const core::QueryRequest& req = state->request;
-    const uint32_t num_shards = sharded_->num_shards();
-    const bool filtered = req.object_filter.has_value();
-
-    // Bucket the evaluated set per shard, translating global object ids
-    // to shard-local ones and remembering each entry's parent result
-    // position. Without a filter every shard evaluates its whole local
-    // database, whose local order IS ascending global order.
-    std::vector<std::vector<ObjectId>> filters(num_shards);
-    std::vector<std::vector<ObjectId>> positions(num_shards);
-    if (filtered) {
-      for (size_t p = 0; p < req.object_filter->size(); ++p) {
-        const ObjectId global = (*req.object_filter)[p];
-        if (global >= sharded_->num_objects()) {
-          // Same error the executor reports on an untranslatable filter.
-          return util::Status::InvalidArgument(
-              "object_filter references an id outside the database");
-        }
-        const uint32_t s = sharded_->shard_of_object(global);
-        filters[s].push_back(sharded_->local_object(global));
-        positions[s].push_back(static_cast<ObjectId>(p));
-      }
-    } else {
-      for (uint32_t s = 0; s < num_shards; ++s) {
-        const uint32_t n = sharded_->shard(s).num_objects();
-        positions[s].reserve(n);
-        for (ObjectId local = 0; local < n; ++local) {
-          positions[s].push_back(sharded_->global_object(s, local));
-        }
-      }
-    }
-
-    // Whole-request plan decision for kThresholdExists, made ONCE from
-    // the global view: ChooseThresholdPlan's break-even sums over every
-    // chain of the request, so per-shard re-decisions could diverge from
-    // the unsharded pipeline. Sub-requests get the outcome pinned —
-    // kBoundsThenRefine (forced; each shard bounds its own co-located
-    // clusters) or kAutoPerChain (per-chain cost model, never the
-    // whole-request bound plan).
-    core::PlanChoice pinned = req.plan;
-    bool add_fallback = false;
-    if (req.predicate == core::PredicateKind::kThresholdExists &&
-        (req.plan == core::PlanChoice::kAuto ||
-         req.plan == core::PlanChoice::kBoundsThenRefine)) {
-      if (!req.window.has_contiguous_times()) {
-        // The executor would fall back to per-chain planning; a forced
-        // bound plan records the fallback exactly once at merge.
-        add_fallback = req.plan == core::PlanChoice::kBoundsThenRefine;
-        pinned = core::PlanChoice::kAutoPerChain;
-      } else if (req.plan == core::PlanChoice::kAuto) {
-        std::map<ChainId, uint32_t> load_map;
-        for (uint32_t s = 0; s < num_shards; ++s) {
-          const core::Database& shard_db = sharded_->shard(s);
-          const size_t n =
-              filtered ? filters[s].size() : shard_db.num_objects();
-          for (size_t i = 0; i < n; ++i) {
-            const ObjectId local =
-                filtered ? filters[s][i] : static_cast<ObjectId>(i);
-            // Census via the lock-free mirror: this submit-path loop runs
-            // without the shard's ingest lock, and reading the object's
-            // history directly would race a concurrent append.
-            if (shard_db.object_needs_multi_engine(local)) continue;
-            ++load_map[sharded_->global_chain(s, shard_db.object(local).chain)];
-          }
-        }
-        std::vector<core::ChainLoad> loads;
-        loads.reserve(load_map.size());
-        for (const auto& [chain, count] : load_map) {
-          loads.push_back({chain, count});
-        }
-        const core::QueryPlanner planner(&sharded_->routing_db());
-        const core::PlanDecision decision = planner.ChooseThresholdPlan(
-            req.window, req.matrix_mode, req.plan, loads);
-        pinned = decision.plan == core::Plan::kBoundsThenRefine
-                     ? core::PlanChoice::kBoundsThenRefine
-                     : core::PlanChoice::kAutoPerChain;
-      }
-    }
-    gather->add_bound_fallback = add_fallback;
-
-    const auto make_sub = [&](uint32_t s) {
-      SubRoute sub;
-      sub.shard = s;
-      sub.request.predicate = req.predicate;
-      sub.request.window = req.window;
-      sub.request.tau = req.tau;
-      sub.request.k = req.k;
-      sub.request.plan = pinned;
-      sub.request.matrix_mode = req.matrix_mode;
-      sub.request.degrade = req.degrade;
-      if (filtered) sub.request.object_filter = std::move(filters[s]);
-      sub.request.cancel = req.cancel;  // the parent-linked token
-      sub.request.deadline = req.deadline;
-      sub.request.trace = req.trace;  // shared: all subs append to it
-      sub.positions = std::move(positions[s]);
-      return sub;
-    };
     for (uint32_t s = 0; s < num_shards; ++s) {
-      const bool has_work =
-          filtered ? !filters[s].empty() : sharded_->shard(s).num_objects() > 0;
-      if (has_work) gather->subs.push_back(make_sub(s));
+      const uint32_t n = sharded_->shard(s).num_objects();
+      positions[s].reserve(n);
+      for (ObjectId local = 0; local < n; ++local) {
+        positions[s].push_back(sharded_->global_object(s, local));
+      }
     }
-    if (gather->subs.empty()) {
-      // Empty database or empty filter: one empty sub against shard 0
-      // produces the executor's empty result (and its stats) verbatim.
-      gather->subs.push_back(make_sub(0));
+  }
+
+  // Whole-request plan decision for kThresholdExists, made ONCE from
+  // the global view: ChooseThresholdPlan's break-even sums over every
+  // chain of the request, so per-shard re-decisions could diverge from
+  // the unsharded pipeline. Sub-requests get the outcome pinned —
+  // kBoundsThenRefine (forced; each shard bounds its own co-located
+  // clusters) or kAutoPerChain (per-chain cost model, never the
+  // whole-request bound plan).
+  core::PlanChoice pinned = req.plan;
+  bool add_fallback = false;
+  if (req.predicate == core::PredicateKind::kThresholdExists &&
+      (req.plan == core::PlanChoice::kAuto ||
+       req.plan == core::PlanChoice::kBoundsThenRefine)) {
+    if (!req.window.has_contiguous_times()) {
+      // The executor would fall back to per-chain planning; a forced
+      // bound plan records the fallback exactly once at merge.
+      add_fallback = req.plan == core::PlanChoice::kBoundsThenRefine;
+      pinned = core::PlanChoice::kAutoPerChain;
+    } else if (req.plan == core::PlanChoice::kAuto) {
+      std::map<ChainId, uint32_t> load_map;
+      for (uint32_t s = 0; s < num_shards; ++s) {
+        const core::Database& shard_db = sharded_->shard(s);
+        const size_t n =
+            filtered ? filters[s].size() : shard_db.num_objects();
+        for (size_t i = 0; i < n; ++i) {
+          const ObjectId local =
+              filtered ? filters[s][i] : static_cast<ObjectId>(i);
+          // Census via the lock-free mirror: this submit-path loop runs
+          // without the shard's ingest lock, and reading the object's
+          // history directly would race a concurrent append.
+          if (shard_db.object_needs_multi_engine(local)) continue;
+          ++load_map[sharded_->global_chain(s, shard_db.object(local).chain)];
+        }
+      }
+      std::vector<core::ChainLoad> loads;
+      loads.reserve(load_map.size());
+      for (const auto& [chain, count] : load_map) {
+        loads.push_back({chain, count});
+      }
+      const core::QueryPlanner planner(&sharded_->routing_db());
+      const core::PlanDecision decision = planner.ChooseThresholdPlan(
+          req.window, req.matrix_mode, req.plan, loads);
+      pinned = decision.plan == core::Plan::kBoundsThenRefine
+                   ? core::PlanChoice::kBoundsThenRefine
+                   : core::PlanChoice::kAutoPerChain;
     }
+  }
+  gather->add_bound_fallback = add_fallback;
+
+  const auto make_sub = [&](uint32_t s) {
+    SubRoute sub;
+    sub.shard = s;
+    sub.request.predicate = req.predicate;
+    sub.request.window = req.window;
+    sub.request.tau = req.tau;
+    sub.request.k = req.k;
+    sub.request.plan = pinned;
+    sub.request.matrix_mode = req.matrix_mode;
+    sub.request.degrade = req.degrade;
+    if (filtered) sub.request.object_filter = std::move(filters[s]);
+    sub.request.cancel = req.cancel;  // the parent-linked token
+    sub.request.deadline = req.deadline;
+    sub.request.trace = req.trace;  // shared: all subs append to it
+    sub.positions = std::move(positions[s]);
+    return sub;
+  };
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    const bool has_work =
+        filtered ? !filters[s].empty() : sharded_->shard(s).num_objects() > 0;
+    if (has_work) gather->subs.push_back(make_sub(s));
+  }
+  if (gather->subs.empty()) {
+    // Empty database or empty filter: one empty sub against shard 0
+    // produces the executor's empty result (and its stats) verbatim.
+    gather->subs.push_back(make_sub(0));
   }
 
   gather->results.resize(gather->subs.size());
@@ -705,9 +705,6 @@ util::Status QueryService::BuildRoute(
 util::Status QueryService::TryEnqueueLocked(
     const std::shared_ptr<GatherState>& gather, Priority priority,
     std::unique_lock<std::mutex>* lock, bool allow_block) {
-  if (stopping_) {
-    return util::Status::Unavailable("query service is shut down");
-  }
   const int lane = static_cast<int>(priority);
   // All-or-nothing admission: every target shard's lane needs a slot (at
   // most one sub per shard), or the whole request rejects/blocks. Subs
@@ -745,12 +742,6 @@ util::Status QueryService::TryEnqueueLocked(
   return util::Status::OK();
 }
 
-void QueryService::NotifyTargets(const GatherState& gather) {
-  for (const SubRoute& sub : gather.subs) {
-    shards_[sub.shard]->work_cv.notify_one();
-  }
-}
-
 ShardHealth QueryService::shard_health(uint32_t shard) const {
   return shards_[shard]->health.health();
 }
@@ -774,7 +765,8 @@ void QueryService::CheckWatchdogs(Clock::time_point now) {
 }
 
 void QueryService::RecordShardOutcome(uint32_t shard,
-                                      const util::Status& status) {
+                                      const util::Status& status,
+                                      bool probe) {
   ShardHealthTracker& tracker = shards_[shard]->health;
   if (status.ok()) {
     const bool recovered = tracker.RecordSuccess();
@@ -804,8 +796,9 @@ void QueryService::RecordShardOutcome(uint32_t shard,
   }
   // Caller-attributable outcomes (cancel, deadline, invalid argument) say
   // nothing about the shard — but a probe that ends this way must free
-  // the probe slot or a quarantined shard would never re-probe.
-  tracker.ProbeAborted();
+  // the probe slot or a quarantined shard would never re-probe. Any other
+  // sub must not: the slot belongs to another request's probe.
+  if (probe) tracker.ProbeAborted();
 }
 
 util::Status QueryService::ApplyHealthGate(
@@ -815,14 +808,11 @@ util::Status QueryService::ApplyHealthGate(
   uint64_t probes = 0;
   std::vector<size_t> dropped;
   for (size_t i = 0; i < gather->subs.size(); ++i) {
-    bool is_probe = false;
-    if (shards_[gather->subs[i].shard]->health.AdmitToShard(now,
-                                                            &is_probe)) {
-      if (is_probe) {
+    SubRoute& sub = gather->subs[i];
+    if (shards_[sub.shard]->health.AdmitToShard(now, &sub.probe)) {
+      if (sub.probe) {
         ++probes;
-        if (obs_ != nullptr) {
-          obs_->shards[gather->subs[i].shard].probes->Add(1);
-        }
+        if (obs_ != nullptr) obs_->shards[sub.shard].probes->Add(1);
       }
       ++live;
     } else {
@@ -900,9 +890,9 @@ util::Status QueryService::MaybeShedLocked(const GatherState& gather,
     // A threshold query that opted into degradation answers from interval
     // bounds alone instead of being shed: certain objects decided, the
     // borderline reported as [lo, hi] (see QueryResult::undecided).
-    if (gather.parent->degrade_mode == core::DegradeMode::kUnderPressure &&
-        gather.parent->predicate ==
-            core::PredicateKind::kThresholdExists) {
+    const core::QueryRequest& request = gather.parent->request;
+    if (request.degrade == core::DegradeMode::kUnderPressure &&
+        request.predicate == core::PredicateKind::kThresholdExists) {
       *degrade_instead = true;
       return util::Status::OK();
     }
@@ -921,7 +911,8 @@ bool QueryService::MaybeScheduleRetry(
     const std::shared_ptr<GatherState>& gather, size_t sub_index,
     const util::Result<core::QueryResult>& outcome, uint32_t shard) {
   TicketState& parent = *gather->parent;
-  if (parent.retry.max_retries == 0) return false;
+  const core::RetryPolicy& retry = parent.request.retry;
+  if (retry.max_retries == 0) return false;
   if (outcome.ok() ||
       outcome.status().code() != util::StatusCode::kUnavailable) {
     return false;
@@ -932,7 +923,7 @@ bool QueryService::MaybeScheduleRetry(
   // drain. The sub completes with its error instead (exactly-once).
   if (stopping_) return false;
   SubRoute& sub = gather->subs[sub_index];
-  if (sub.attempts >= parent.retry.max_retries) return false;
+  if (sub.attempts >= retry.max_retries) return false;
   const uint32_t attempt = sub.attempts++;
   // Per-ticket jitter seed: decorrelates concurrent tickets' backoffs
   // while staying reproducible for a pinned clock in tests.
@@ -940,10 +931,11 @@ bool QueryService::MaybeScheduleRetry(
       static_cast<uint64_t>(parent.submitted_at.time_since_epoch().count()) ^
       (0x9E3779B97f4A7C15ULL * (sub_index + 1));
   const Clock::time_point due =
-      Clock::now() + RetryBackoff(parent.retry, attempt, seed);
+      Clock::now() + RetryBackoff(retry, attempt, seed);
   // A retry that cannot finish before the deadline is pointless: let the
   // current failure stand rather than burn backoff into a sure expiry.
-  if (parent.deadline.has_value() && due >= *parent.deadline) return false;
+  const std::optional<Clock::time_point>& deadline = parent.request.deadline;
+  if (deadline.has_value() && due >= *deadline) return false;
   ShardLane& lane = *shards_[shard];
   lane.retries.push_back(
       ShardLane::RetryEntry{due, ShardTask{gather, sub_index}});
@@ -974,179 +966,106 @@ void QueryService::PromoteRetriesLocked(ShardLane& lane,
 
 QueryTicket QueryService::Submit(core::QueryRequest request,
                                  Priority priority) {
-  std::shared_ptr<TicketState> state =
-      PrepareState(std::move(request), priority);
-  QueryTicket ticket{std::shared_ptr<TicketState>(state)};
-
-  // Queue-admission fault point, drawn outside the lock so a stall rule
-  // delays only this submission. The watchdog sweep rides the same path:
-  // submitting threads are the ones guaranteed to keep arriving while a
-  // dispatcher is wedged.
-  const util::Status admission =
-      InjectServicePoint(util::FaultPoint::kQueueAdmission);
-  CheckWatchdogs(Clock::now());
-
-  std::shared_ptr<GatherState> gather;
-  util::Status route = BuildRoute(state, &gather);
-
-  // Shutdown outranks the deadline check, which outranks injected
-  // admission faults, which outrank routing errors: after Shutdown()
-  // *every* submission resolves Unavailable, even one that is also
-  // expired or unroutable.
-  util::Status enqueue = util::Status::OK();
-  bool degrade_instead = false;
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      enqueue = util::Status::Unavailable("query service is shut down");
-    } else if (state->deadline.has_value() &&
-               Clock::now() >= *state->deadline) {
-      enqueue = util::Status::DeadlineExceeded(
-          "deadline already passed at submission");
-    } else if (!admission.ok()) {
-      enqueue = admission;
-    } else if (!route.ok()) {
-      enqueue = std::move(route);
-    } else if (enqueue = ApplyHealthGate(gather); !enqueue.ok()) {
-      // resolved below
-    } else if (enqueue = MaybeShedLocked(*gather, priority, &degrade_instead);
-               !enqueue.ok()) {
-      // resolved below
-    } else {
-      if (degrade_instead) {
-        for (SubRoute& sub : gather->subs) {
-          sub.request.degrade = core::DegradeMode::kBoundsOnly;
-        }
-      }
-      enqueue = TryEnqueueLocked(gather, priority, &lock,
-                                 /*allow_block=*/true);
-    }
-  }
-  if (!enqueue.ok()) {
-    // A probe admitted by the health gate that never enqueued must free
-    // its slot, or the quarantined shard would never re-probe. Harmless
-    // for non-probe targets.
-    if (gather != nullptr) {
-      for (const SubRoute& sub : gather->subs) {
-        shards_[sub.shard]->health.ProbeAborted();
-      }
-    }
-    Resolve(state, std::move(enqueue), /*latency_shard=*/0);
-    return ticket;
-  }
-  if (gather->subs.size() >= 2) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.scatter_requests;
-      stats_.scatter_subtasks += gather->subs.size();
-    }
-    if (obs_ != nullptr) {
-      obs_->scatter_requests->Add(1);
-      obs_->scatter_subtasks->Add(gather->subs.size());
-    }
-  }
-  NotifyTargets(*gather);
-  return ticket;
+  std::vector<core::QueryRequest> one;
+  one.push_back(std::move(request));
+  return Admit(std::move(one), priority, /*allow_block=*/true).front();
 }
 
 std::vector<QueryTicket> QueryService::SubmitBurst(
     std::vector<core::QueryRequest> requests, Priority priority) {
-  std::vector<std::shared_ptr<TicketState>> states;
-  states.reserve(requests.size());
-  std::vector<QueryTicket> tickets;
-  tickets.reserve(requests.size());
-  for (core::QueryRequest& request : requests) {
-    states.push_back(PrepareState(std::move(request), priority));
-    tickets.push_back(QueryTicket{states.back()});
-  }
+  return Admit(std::move(requests), priority, /*allow_block=*/false);
+}
 
-  // Per-entry queue-admission fault draws and the watchdog sweep, both
-  // outside the lock (a stall rule delays the burst, not the lock).
-  std::vector<util::Status> admissions;
-  admissions.reserve(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    admissions.push_back(
-        InjectServicePoint(util::FaultPoint::kQueueAdmission));
+std::vector<QueryTicket> QueryService::Admit(
+    std::vector<core::QueryRequest> requests, Priority priority,
+    bool allow_block) {
+  // Ticket preparation, queue-admission fault draws, routing and the
+  // watchdog sweep all run outside the lock: a stall rule delays these
+  // submissions, not the lock; translation and plan pinning are pure;
+  // submitting threads are the ones guaranteed to keep arriving while a
+  // dispatcher is wedged. `verdicts` holds each request's first failure.
+  const size_t n = requests.size();
+  std::vector<std::shared_ptr<TicketState>> states(n);
+  std::vector<QueryTicket> tickets;
+  tickets.reserve(n);
+  std::vector<util::Status> verdicts(n);
+  std::vector<std::shared_ptr<GatherState>> gathers(n);
+  for (size_t i = 0; i < n; ++i) {
+    states[i] = PrepareState(std::move(requests[i]), priority);
+    tickets.push_back(QueryTicket{states[i]});
+  }
+  for (size_t i = 0; i < n; ++i) {
+    verdicts[i] = InjectServicePoint(util::FaultPoint::kQueueAdmission);
+    if (verdicts[i].ok()) verdicts[i] = BuildRoute(states[i], &gathers[i]);
   }
   CheckWatchdogs(Clock::now());
 
-  // Route outside the lock (translation and plan pinning are pure), then
-  // take one queue lock for the whole burst: the dispatchers see either
-  // none or all of it, so an idle service drains the burst as one
-  // coalesced batch per shard.
-  std::vector<std::shared_ptr<GatherState>> gathers(states.size());
-  std::vector<util::Status> routes;
-  routes.reserve(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    routes.push_back(BuildRoute(states[i], &gathers[i]));
-  }
-
-  std::vector<std::pair<size_t, util::Status>> failures;
-  std::vector<size_t> admitted;
+  // One queue-lock hold for the whole set: the dispatchers see none or
+  // all of it, so an idle service drains a burst as one coalesced batch
+  // per shard. Shutdown outranks the deadline check, which outranks
+  // injected admission faults and routing errors: after Shutdown()
+  // *every* submission resolves Unavailable, even one that is also
+  // expired or unroutable.
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
-    for (size_t i = 0; i < states.size(); ++i) {
-      // stopping_ only changes under queue_mu_, but check it per entry so
-      // the shutdown status outranks the deadline one, like in Submit().
+    for (size_t i = 0; i < n; ++i) {
+      const std::optional<Clock::time_point>& deadline =
+          states[i]->request.deadline;
+      util::Status& verdict = verdicts[i];
       if (stopping_) {
-        failures.emplace_back(
-            i, util::Status::Unavailable("query service is shut down"));
-        continue;
+        verdict = util::Status::Unavailable("query service is shut down");
+      } else if (deadline.has_value() && Clock::now() >= *deadline) {
+        verdict = util::Status::DeadlineExceeded(
+            "deadline already passed at submission");
       }
-      if (states[i]->deadline.has_value() &&
-          Clock::now() >= *states[i]->deadline) {
-        failures.emplace_back(i, util::Status::DeadlineExceeded(
-                                     "deadline already passed at submission"));
-        continue;
-      }
-      if (!admissions[i].ok()) {
-        failures.emplace_back(i, std::move(admissions[i]));
-        continue;
-      }
-      if (!routes[i].ok()) {
-        failures.emplace_back(i, std::move(routes[i]));
-        continue;
-      }
-      util::Status s = ApplyHealthGate(gathers[i]);
+      if (!verdict.ok()) continue;
+      verdict = ApplyHealthGate(gathers[i]);
       bool degrade_instead = false;
-      if (s.ok()) {
-        s = MaybeShedLocked(*gathers[i], priority, &degrade_instead);
+      if (verdict.ok()) {
+        verdict = MaybeShedLocked(*gathers[i], priority, &degrade_instead);
       }
-      if (s.ok()) {
-        if (degrade_instead) {
-          for (SubRoute& sub : gathers[i]->subs) {
-            sub.request.degrade = core::DegradeMode::kBoundsOnly;
-          }
+      if (!verdict.ok()) continue;
+      if (degrade_instead) {
+        for (SubRoute& sub : gathers[i]->subs) {
+          sub.request.degrade = core::DegradeMode::kBoundsOnly;
         }
-        s = TryEnqueueLocked(gathers[i], priority, &lock,
-                             /*allow_block=*/false);
       }
-      if (!s.ok()) {
+      verdict = TryEnqueueLocked(gathers[i], priority, &lock, allow_block);
+    }
+  }
+
+  uint64_t scattered = 0;
+  uint64_t subtasks = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!verdicts[i].ok()) {
+      // A probe slot this request took at the health gate is released;
+      // no other sub ever held one.
+      if (gathers[i] != nullptr) {
         for (const SubRoute& sub : gathers[i]->subs) {
-          shards_[sub.shard]->health.ProbeAborted();
-        }
-        failures.emplace_back(i, std::move(s));
-        continue;
-      }
-      admitted.push_back(i);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    for (size_t i : admitted) {
-      if (gathers[i]->subs.size() >= 2) {
-        ++stats_.scatter_requests;
-        stats_.scatter_subtasks += gathers[i]->subs.size();
-        if (obs_ != nullptr) {
-          obs_->scatter_requests->Add(1);
-          obs_->scatter_subtasks->Add(gathers[i]->subs.size());
+          if (sub.probe) shards_[sub.shard]->health.ProbeAborted();
         }
       }
+      Resolve(states[i], std::move(verdicts[i]), /*latency_shard=*/0);
+      continue;
+    }
+    if (gathers[i]->subs.size() >= 2) {
+      ++scattered;
+      subtasks += gathers[i]->subs.size();
+    }
+    for (const SubRoute& sub : gathers[i]->subs) {
+      shards_[sub.shard]->work_cv.notify_one();
     }
   }
-  for (size_t i : admitted) NotifyTargets(*gathers[i]);
-  for (auto& [index, status] : failures) {
-    Resolve(states[index], std::move(status), /*latency_shard=*/0);
+  if (scattered > 0) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.scatter_requests += scattered;
+      stats_.scatter_subtasks += subtasks;
+    }
+    if (obs_ != nullptr) {
+      obs_->scatter_requests->Add(scattered);
+      obs_->scatter_subtasks->Add(subtasks);
+    }
   }
   return tickets;
 }
@@ -1185,8 +1104,7 @@ void QueryService::DispatcherLoop(uint32_t shard) {
       // interactive ticket wait on bulk members' engines. Shutdown drains
       // the same way, iterating until both lanes are empty.
       auto& queue = lane.lanes[0].empty() ? lane.lanes[1] : lane.lanes[0];
-      const size_t want = options_.coalesce ? options_.max_batch : 1;
-      while (taken.size() < want && !queue.empty()) {
+      while (taken.size() < options_.max_batch && !queue.empty()) {
         taken.push_back(std::move(queue.front()));
         queue.pop_front();
       }
@@ -1249,10 +1167,10 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
       obs_->shards[shard].queue_wait->Observe(
           std::chrono::duration<double>(now - parent.submitted_at).count());
     }
-    if (parent.trace != nullptr) {
+    if (const auto& trace = parent.request.trace; trace != nullptr) {
       any_traced = true;
-      parent.trace->Record(obs::Stage::kQueue, parent.submitted_at, now,
-                           static_cast<int32_t>(shard));
+      trace->Record(obs::Stage::kQueue, parent.submitted_at, now,
+                    static_cast<int32_t>(shard));
     }
   }
   const bool timing = obs_ != nullptr || any_traced;
@@ -1265,7 +1183,7 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   requests.reserve(runnable.size());
   for (ShardTask& task : runnable) {
     core::QueryRequest& sub = task.gather->subs[task.sub_index].request;
-    if (task.gather->parent->retry.max_retries > 0) {
+    if (task.gather->parent->request.retry.max_retries > 0) {
       // Keep the sub request intact: a transient failure re-runs it after
       // backoff. Without a retry budget the move stays free.
       requests.push_back(sub);
@@ -1309,7 +1227,7 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   if (any_traced) {
     const std::string detail = "batch=" + std::to_string(runnable.size());
     for (const ShardTask& task : runnable) {
-      if (const auto& trace = task.gather->parent->trace;
+      if (const auto& trace = task.gather->parent->request.trace;
           trace != nullptr) {
         trace->Record(obs::Stage::kDispatch, now, run_end,
                       static_cast<int32_t>(shard), detail);
@@ -1326,8 +1244,11 @@ void QueryService::CompleteSub(const std::shared_ptr<GatherState>& gather,
                                size_t sub_index,
                                util::Result<core::QueryResult> outcome,
                                uint32_t shard) {
-  RecordShardOutcome(
-      shard, outcome.ok() ? util::Status::OK() : outcome.status());
+  SubRoute& sub = gather->subs[sub_index];
+  RecordShardOutcome(shard,
+                     outcome.ok() ? util::Status::OK() : outcome.status(),
+                     sub.probe);
+  sub.probe = false;
   // A transient failure within the retry budget re-queues the sub after
   // backoff instead of completing it; the countdown is untouched, so the
   // parent cannot resolve while a retry is pending.
@@ -1342,22 +1263,22 @@ void QueryService::CompleteSub(const std::shared_ptr<GatherState>& gather,
 
 void QueryService::MergeAndResolve(
     const std::shared_ptr<GatherState>& gather, uint32_t shard) {
-  const std::shared_ptr<obs::QueryTrace>& trace = gather->parent->trace;
+  const std::shared_ptr<obs::QueryTrace>& trace =
+      gather->parent->request.trace;
   const Clock::time_point m0 =
       trace != nullptr ? Clock::now() : Clock::time_point();
-  const auto record_merge = [&] {
+  const auto finish = [&](util::Result<core::QueryResult> outcome) {
     if (trace != nullptr) {
       trace->Record(obs::Stage::kMerge, m0, Clock::now(),
                     static_cast<int32_t>(shard));
     }
+    Resolve(gather->parent, std::move(outcome), shard);
   };
   // Merge fault point: a firing fail/throw rule fails the whole parent
   // (a stall just delays the merge).
   if (util::Status injected = InjectServicePoint(util::FaultPoint::kMerge);
       !injected.ok()) {
-    record_merge();
-    Resolve(gather->parent, std::move(injected), shard);
-    return;
+    return finish(std::move(injected));
   }
 
   // Classify sub outcomes. Stop codes and non-transient errors fail the
@@ -1384,24 +1305,12 @@ void QueryService::MergeAndResolve(
     }
   }
   if (first_fatal.has_value()) {
-    record_merge();
-    Resolve(gather->parent, std::move(*gather->results[*first_fatal]),
-            shard);
-    return;
+    return finish(std::move(*gather->results[*first_fatal]));
   }
   const bool partial = first_transient.has_value();
   if (partial && (!options_.partial_results || ok_count == 0)) {
-    record_merge();
-    Resolve(gather->parent, std::move(*gather->results[*first_transient]),
-            shard);
-    return;
+    return finish(std::move(*gather->results[*first_transient]));
   }
-  if (gather->identity) {
-    record_merge();
-    Resolve(gather->parent, std::move(*gather->results.front()), shard);
-    return;
-  }
-
   core::QueryResult merged;
   merged.stats.threads_used = 0;  // summed below
   for (const std::optional<util::Result<core::QueryResult>>& slot :
@@ -1417,132 +1326,65 @@ void QueryService::MergeAndResolve(
   if (gather->add_bound_fallback) ++merged.stats.prune.bound_fallbacks;
 
   const core::QueryRequest& req = gather->parent->request;
+  const auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
+  // Bounds-only (degraded) sub answers of any predicate carry their
+  // undecided intervals under shard-local ids.
+  for (size_t i = 0; i < gather->subs.size(); ++i) {
+    if (!gather->results[i]->ok()) continue;
+    for (const core::ObjectInterval& entry :
+         gather->results[i]->value().undecided) {
+      merged.undecided.push_back(
+          {sharded_->global_object(gather->subs[i].shard, entry.id),
+           entry.lo, entry.hi});
+    }
+  }
+  std::sort(merged.undecided.begin(), merged.undecided.end(), by_id);
+  // A degraded position answer leaves every position unfilled, exactly
+  // like a failed shard's; both are compacted away.
+  const bool compact = partial || merged.degraded_bounds;
   switch (req.predicate) {
     case core::PredicateKind::kExists:
-    case core::PredicateKind::kForAll: {
-      // Position scatter: entry j of sub i lands at its recorded parent
-      // position; the id there is the parent's (filter entry or global
-      // id — without a filter, position == global id). A partial answer
-      // compacts the failed shards' never-filled positions away, keeping
-      // the survivors in parent order.
-      const size_t total = req.object_filter.has_value()
-                               ? req.object_filter->size()
-                               : sharded_->num_objects();
-      merged.probabilities.resize(total);
-      std::vector<char> filled;
-      if (partial) filled.assign(total, 0);
-      for (size_t i = 0; i < gather->subs.size(); ++i) {
-        if (!gather->results[i]->ok()) continue;
-        const SubRoute& sub = gather->subs[i];
-        const core::QueryResult& result = gather->results[i]->value();
-        for (size_t j = 0; j < result.probabilities.size(); ++j) {
-          const ObjectId position = sub.positions[j];
-          const ObjectId id = req.object_filter.has_value()
-                                  ? (*req.object_filter)[position]
-                                  : position;
-          merged.probabilities[position] = {
-              id, result.probabilities[j].probability};
-          if (partial) filled[position] = 1;
-        }
-      }
-      if (partial) {
-        size_t out = 0;
-        for (size_t p = 0; p < total; ++p) {
-          if (filled[p]) merged.probabilities[out++] = merged.probabilities[p];
-        }
-        merged.probabilities.resize(out);
-      }
+    case core::PredicateKind::kForAll:
+      merged.probabilities = ScatterByPosition(
+          gather.get(), &core::QueryResult::probabilities, compact);
       break;
-    }
-    case core::PredicateKind::kKTimes: {
-      const size_t total = req.object_filter.has_value()
-                               ? req.object_filter->size()
-                               : sharded_->num_objects();
-      merged.distributions.resize(total);
-      std::vector<char> filled;
-      if (partial) filled.assign(total, 0);
-      for (size_t i = 0; i < gather->subs.size(); ++i) {
-        if (!gather->results[i]->ok()) continue;
-        const SubRoute& sub = gather->subs[i];
-        core::QueryResult& result = gather->results[i]->value();
-        for (size_t j = 0; j < result.distributions.size(); ++j) {
-          const ObjectId position = sub.positions[j];
-          const ObjectId id = req.object_filter.has_value()
-                                  ? (*req.object_filter)[position]
-                                  : position;
-          merged.distributions[position] = {
-              id, std::move(result.distributions[j].distribution)};
-          if (partial) filled[position] = 1;
-        }
-      }
-      if (partial) {
-        size_t out = 0;
-        for (size_t p = 0; p < total; ++p) {
-          if (filled[p]) {
-            merged.distributions[out++] = std::move(merged.distributions[p]);
-          }
-        }
-        merged.distributions.resize(out);
-      }
+    case core::PredicateKind::kKTimes:
+      merged.distributions = ScatterByPosition(
+          gather.get(), &core::QueryResult::distributions, compact);
       break;
-    }
-    case core::PredicateKind::kThresholdExists: {
-      // Partial answers carry shard-local ids in local ascending order;
-      // translate and re-sort so the merged answer is ascending by
-      // GLOBAL id exactly like the unsharded pipeline (after a rebalance
-      // migration local order need not be a contiguous global range, so
-      // a plain concatenation is not enough).
-      for (size_t i = 0; i < gather->subs.size(); ++i) {
-        if (!gather->results[i]->ok()) continue;
-        const SubRoute& sub = gather->subs[i];
-        const core::QueryResult& result = gather->results[i]->value();
-        for (const core::ObjectProbability& entry : result.probabilities) {
-          merged.probabilities.push_back(
-              {sharded_->global_object(sub.shard, entry.id),
-               entry.probability});
-        }
-        // Degraded (bounds-only) sub answers carry undecided intervals;
-        // translate them the same way.
-        for (const core::ObjectInterval& entry : result.undecided) {
-          merged.undecided.push_back(
-              {sharded_->global_object(sub.shard, entry.id), entry.lo,
-               entry.hi});
-        }
-      }
-      std::sort(merged.probabilities.begin(), merged.probabilities.end(),
-                [](const core::ObjectProbability& a,
-                   const core::ObjectProbability& b) { return a.id < b.id; });
-      std::sort(merged.undecided.begin(), merged.undecided.end(),
-                [](const core::ObjectInterval& a,
-                   const core::ObjectInterval& b) { return a.id < b.id; });
-      break;
-    }
+    case core::PredicateKind::kThresholdExists:
     case core::PredicateKind::kTopKExists: {
-      // Global heap merge, materialized as concat + sort + truncate: the
-      // comparator (probability desc, global id asc) is a strict total
-      // order over unique ids, so the merged prefix is bit-identical to
-      // the unsharded partial_sort no matter how objects were placed.
+      // Id translation: these answers carry shard-local ids in local
+      // order. Translate, then restore the executor's order over GLOBAL
+      // ids — ascending for threshold (after a rebalance migration local
+      // order need not be a contiguous global range, so concatenation is
+      // not enough), and for top-k the comparator (probability desc,
+      // global id asc), a strict total order over unique ids, so the
+      // truncated prefix is bit-identical to the unsharded partial_sort
+      // no matter how objects were placed.
       for (size_t i = 0; i < gather->subs.size(); ++i) {
         if (!gather->results[i]->ok()) continue;
-        const SubRoute& sub = gather->subs[i];
         for (const core::ObjectProbability& entry :
              gather->results[i]->value().probabilities) {
           merged.probabilities.push_back(
-              {sharded_->global_object(sub.shard, entry.id),
+              {sharded_->global_object(gather->subs[i].shard, entry.id),
                entry.probability});
         }
       }
-      std::sort(merged.probabilities.begin(), merged.probabilities.end(),
-                [](const core::ObjectProbability& a,
-                   const core::ObjectProbability& b) {
-                  if (a.probability != b.probability) {
-                    return a.probability > b.probability;
-                  }
-                  return a.id < b.id;
-                });
-      const size_t take =
-          std::min<size_t>(req.k, merged.probabilities.size());
-      merged.probabilities.resize(take);
+      std::vector<core::ObjectProbability>& answer = merged.probabilities;
+      if (req.predicate == core::PredicateKind::kThresholdExists) {
+        std::sort(answer.begin(), answer.end(), by_id);
+      } else {
+        std::sort(answer.begin(), answer.end(),
+                  [](const core::ObjectProbability& a,
+                     const core::ObjectProbability& b) {
+                    if (a.probability != b.probability) {
+                      return a.probability > b.probability;
+                    }
+                    return a.id < b.id;
+                  });
+        answer.resize(std::min<size_t>(req.k, answer.size()));
+      }
       break;
     }
   }
@@ -1558,15 +1400,12 @@ void QueryService::MergeAndResolve(
       merged.shard_errors.push_back(
           {sub.shard, status.code(), status.message()});
       for (const ObjectId position : sub.positions) {
-        merged.missing_objects.push_back(
-            req.object_filter.has_value() ? (*req.object_filter)[position]
-                                          : position);
+        merged.missing_objects.push_back(ParentId(req, position));
       }
     }
     std::sort(merged.missing_objects.begin(), merged.missing_objects.end());
   }
-  record_merge();
-  Resolve(gather->parent, std::move(merged), shard);
+  finish(std::move(merged));
 }
 
 void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
@@ -1587,50 +1426,63 @@ void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
       !outcome.ok() ? outcome.status().code()
                     : (is_partial ? util::StatusCode::kPartial
                                   : util::StatusCode::kOk);
+  // One classification feeds both counter systems: the ServiceStats field
+  // and the ObsHandles::outcomes index (ok, cancelled, deadline, rejected,
+  // failed, partial).
+  uint64_t ServiceStats::*counter = &ServiceStats::failed;
+  int outcome_index = 4;
+  switch (code) {
+    case util::StatusCode::kOk:
+      counter = &ServiceStats::completed;
+      outcome_index = 0;
+      break;
+    case util::StatusCode::kPartial:
+      counter = &ServiceStats::completed;
+      outcome_index = 5;
+      break;
+    case util::StatusCode::kCancelled:
+      counter = &ServiceStats::cancelled;
+      outcome_index = 1;
+      break;
+    case util::StatusCode::kDeadlineExceeded:
+      counter = &ServiceStats::deadline_expired;
+      outcome_index = 2;
+      break;
+    case util::StatusCode::kUnavailable:
+      counter = &ServiceStats::rejected;
+      outcome_index = 3;
+      break;
+    default:
+      break;
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     if (is_partial) ++stats_.partial;
     if (is_degraded) ++stats_.degraded;
-    switch (code) {
-      case util::StatusCode::kPartial:
-      case util::StatusCode::kOk: {
-        ++stats_.completed;
-        stats_.group_subtasks += outcome->stats.group_subtasks;
-        stats_.clusters_bounded += outcome->stats.prune.clusters_bounded;
-        stats_.clusters_pruned += outcome->stats.prune.clusters_pruned;
-        stats_.clusters_refined += outcome->stats.prune.clusters_refined;
-        ShardLane& lane = *shards_[latency_shard];
-        if (lane.latencies_ms.size() < kLatencyReservoir) {
-          lane.latencies_ms.push_back(latency_ms);
-        } else {
-          lane.latencies_ms[lane.latency_next] = latency_ms;
-        }
-        lane.latency_next = (lane.latency_next + 1) % kLatencyReservoir;
-        break;
+    ++(stats_.*counter);
+    if (outcome.ok()) {
+      stats_.group_subtasks += outcome->stats.group_subtasks;
+      stats_.clusters_bounded += outcome->stats.prune.clusters_bounded;
+      stats_.clusters_pruned += outcome->stats.prune.clusters_pruned;
+      stats_.clusters_refined += outcome->stats.prune.clusters_refined;
+      ShardLane& lane = *shards_[latency_shard];
+      if (lane.latencies_ms.size() < kLatencyReservoir) {
+        lane.latencies_ms.push_back(latency_ms);
+      } else {
+        lane.latencies_ms[lane.latency_next] = latency_ms;
       }
-      case util::StatusCode::kCancelled:
-        ++stats_.cancelled;
-        break;
-      case util::StatusCode::kDeadlineExceeded:
-        ++stats_.deadline_expired;
-        break;
-      case util::StatusCode::kUnavailable:
-        ++stats_.rejected;
-        break;
-      default:
-        ++stats_.failed;
-        break;
+      lane.latency_next = (lane.latency_next + 1) % kLatencyReservoir;
     }
     // Slow-query ring: every traced request competes on latency; the
     // ring keeps the N slowest with their full span breakdowns.
-    if (obs_ != nullptr && state->trace != nullptr &&
+    if (obs_ != nullptr && state->request.trace != nullptr &&
         options_.obs.slow_query_ring > 0) {
       SlowQuery record;
       record.latency_ms = latency_ms;
-      record.predicate = state->predicate;
+      record.predicate = state->request.predicate;
       record.priority = state->priority;
       record.code = code;
-      record.spans = state->trace->spans();
+      record.spans = state->request.trace->spans();
       record.retries = state->retries.load(std::memory_order_relaxed);
       record.partial = is_partial;
       record.degraded = is_degraded;
@@ -1645,30 +1497,9 @@ void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
     }
   }
   if (obs_ != nullptr) {
-    int outcome_index = 4;  // failed
-    switch (code) {
-      case util::StatusCode::kOk:
-        outcome_index = 0;
-        break;
-      case util::StatusCode::kCancelled:
-        outcome_index = 1;
-        break;
-      case util::StatusCode::kDeadlineExceeded:
-        outcome_index = 2;
-        break;
-      case util::StatusCode::kUnavailable:
-        outcome_index = 3;
-        break;
-      case util::StatusCode::kPartial:
-        outcome_index = 5;
-        break;
-      default:
-        break;
-    }
     obs_->outcomes[outcome_index]->Add(1);
     if (is_degraded) obs_->degraded->Add(1);
-    if (code == util::StatusCode::kOk ||
-        code == util::StatusCode::kPartial) {
+    if (outcome.ok()) {
       obs_->shards[latency_shard].latency->Observe(latency_ms / 1e3);
     }
   }
@@ -1688,7 +1519,7 @@ void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
 util::Result<DataVersion> QueryService::AppendObservation(
     ObjectId id, core::Observation obs,
     const std::shared_ptr<obs::QueryTrace>& trace) {
-  if (mutable_db_ == nullptr && mutable_sharded_ == nullptr) {
+  if (mutable_sharded_ == nullptr) {
     return util::Status::FailedPrecondition(
         "service was constructed over a const database; ingest is disabled");
   }
@@ -1729,22 +1560,18 @@ util::Result<DataVersion> QueryService::AppendObservation(
   }
 
   util::Result<DataVersion> version = [&]() -> util::Result<DataVersion> {
-    if (mutable_sharded_ != nullptr) {
-      if (id >= mutable_sharded_->num_objects()) {
-        // Bounds check BEFORE the shard lookup: the router's own check
-        // sits behind shard_of_object, which indexes unconditionally.
-        return util::Status::NotFound("object " + std::to_string(id) +
-                                      " does not exist");
-      }
-      const uint32_t s = mutable_sharded_->shard_of_object(id);
-      // The shard's ingest lock serializes the whole allocate+apply
-      // against that shard's dispatch AND against concurrent appends to
-      // the same shard, so per-shard versions apply in increasing order.
-      std::lock_guard<std::mutex> db_lock(shards_[s]->db_mu);
-      return mutable_sharded_->AppendObservation(id, std::move(obs));
+    if (id >= mutable_sharded_->num_objects()) {
+      // Bounds check BEFORE the shard lookup: the router's own check
+      // sits behind shard_of_object, which indexes unconditionally.
+      return util::Status::NotFound("object " + std::to_string(id) +
+                                    " does not exist");
     }
-    std::lock_guard<std::mutex> db_lock(shards_[0]->db_mu);
-    return mutable_db_->AppendObservation(id, std::move(obs));
+    const uint32_t s = mutable_sharded_->shard_of_object(id);
+    // The shard's ingest lock serializes the whole allocate+apply
+    // against that shard's dispatch AND against concurrent appends to
+    // the same shard, so per-shard versions apply in increasing order.
+    std::lock_guard<std::mutex> db_lock(shards_[s]->db_mu);
+    return mutable_sharded_->AppendObservation(id, std::move(obs));
   }();
   if (version.ok()) MarkDirtyForIngest(id);
   return finish(std::move(version));
@@ -1915,7 +1742,7 @@ size_t QueryService::RefreshSubscriptions() {
     }
     if (sub.cancelled.load(std::memory_order_acquire)) continue;
     const std::shared_ptr<obs::QueryTrace>& trace =
-        tickets[i].state_->trace;  // sampled like any submission
+        tickets[i].state_->request.trace;  // sampled like any submission
     const Clock::time_point n0 =
         trace != nullptr ? Clock::now() : Clock::time_point();
     SubscriptionDelta delta = BuildDelta(sub, result.value());

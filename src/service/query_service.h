@@ -9,15 +9,14 @@
 // groups — a bursty dashboard refresh pays one pass per (window, chain)
 // without any caller-side batching.
 //
-// Serving a ShardedDatabase, the service is a router: one QueryExecutor
+// The service serves a ShardedDatabase and is a router: one QueryExecutor
 // per shard (own EngineCache, own worker slice), each fed by its own
 // two-lane queue and dispatcher. A request touching a single shard
 // routes to that shard's lane; a request spanning shards scatters one
 // sub-request per target shard and gathers — position/heap/sort merges
 // per predicate, ExecStats summed — with results bit-identical to the
 // single-executor pipeline (global ids, global plan decisions; see
-// Submit()). Serving a plain Database keeps the legacy single-executor
-// behavior exactly.
+// Submit()). A one-shard ShardedDatabase is the single-executor service.
 //
 // The service owns the request lifecycle the bare executor does not:
 // backpressure (reject-when-full or block), a priority lane for
@@ -48,7 +47,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/database.h"
 #include "core/engine_cache.h"
 #include "core/executor.h"
 #include "core/query_request.h"
@@ -92,15 +90,10 @@ struct ServiceOptions {
   size_t queue_capacity = 256;
   /// Behavior when a lane is full.
   BackpressurePolicy backpressure = BackpressurePolicy::kReject;
-  /// Coalesce queued requests into one RunBatch per drain. Off = strict
-  /// one-request-at-a-time dispatch (the uncoalesced baseline the service
-  /// benchmark compares against).
-  bool coalesce = true;
-  /// Most requests one coalesced dispatch may drain (>= 1 enforced).
+  /// Most requests one dispatch may drain into one RunBatch (>= 1
+  /// enforced); 1 is strict one-request-at-a-time dispatch, the
+  /// uncoalesced baseline the service benchmark compares against.
   size_t max_batch = 64;
-  /// Construct with the dispatchers paused (tests use this to stage a
-  /// deterministic queue state before Resume()).
-  bool start_paused = false;
   /// Forwarded to each service-owned QueryExecutor. On a sharded service
   /// num_threads is the TOTAL worker budget: it is resolved (0 = one per
   /// hardware context) and divided evenly across the shard executors, at
@@ -163,8 +156,8 @@ struct ServiceStats {
   /// Dispatches that carried exactly one queued entry.
   uint64_t solo_dispatches = 0;
   /// Requests the router scattered across >= 2 shard lanes, and the total
-  /// per-shard sub-requests those scatters enqueued. Always 0 when
-  /// serving a plain Database (single implicit lane, identity routing).
+  /// per-shard sub-requests those scatters enqueued. Always 0 on a
+  /// one-shard service.
   uint64_t scatter_requests = 0;
   uint64_t scatter_subtasks = 0;
   /// Sum of ExecStats::group_subtasks over completed requests: how many
@@ -378,26 +371,19 @@ class Subscription {
 /// executor, so the executor's no-concurrent-Run contract holds by
 /// construction. Every ticket resolves exactly once — including under
 /// Shutdown(), which stops admitting, drains the queues through the
-/// executors, and only then joins the dispatchers. The Database (or
-/// ShardedDatabase) must outlive the service. Structural mutation
-/// (AddChain/AddObject) while the service is running remains
-/// unsupported; AppendObservation is the one serving-time mutation, and
-/// only through the service's own ingest path (which serializes it
-/// against the owning shard's dispatch) — it requires construction over
-/// a mutable database pointer.
+/// executors, and only then joins the dispatchers. The ShardedDatabase
+/// must outlive the service. Structural mutation (AddChain/AddObject)
+/// while the service is running remains unsupported; AppendObservation
+/// is the one serving-time mutation, and only through the service's own
+/// ingest path (which serializes it against the owning shard's dispatch)
+/// — it requires construction over a mutable database pointer.
 class QueryService {
  public:
-  /// \brief Legacy single-executor service over a plain Database;
-  /// identity routing, one dispatcher, bit-identical to the pre-sharding
-  /// behavior.
-  /// \param db the database to serve; must outlive the service.
-  /// \param options queue, backpressure, coalescing, and executor knobs.
-  explicit QueryService(const core::Database* db, ServiceOptions options = {});
-
-  /// \brief Sharded service: one executor + dispatcher + two-lane queue
-  /// per shard of `db`. Requests and results speak GLOBAL ids; the
-  /// router translates to shard-local ids on the way in and back on the
-  /// way out. Results are bit-identical to the unsharded pipeline: for
+  /// \brief One executor + dispatcher + two-lane queue per shard of `db`
+  /// (a one-shard database gives the single-executor service). Requests
+  /// and results speak GLOBAL ids; the router translates to shard-local
+  /// ids on the way in and back on the way out. Results are
+  /// bit-identical to a QueryExecutor over the unsharded database: for
   /// kThresholdExists under kAuto the router makes the whole-request
   /// bounds-vs-per-chain decision once, globally, against
   /// db->routing_db(), and pins the outcome (kBoundsThenRefine or
@@ -405,14 +391,15 @@ class QueryService {
   /// partial view.
   /// \param db the sharded database to serve; must outlive the service.
   /// \param options queue, backpressure, coalescing, and executor knobs.
-  QueryService(const core::ShardedDatabase* db, ServiceOptions options = {});
+  explicit QueryService(const core::ShardedDatabase* db,
+                        ServiceOptions options = {});
 
-  /// \brief Mutable-database overloads: identical serving behavior, plus
-  /// the ingest path (AppendObservation) is enabled. The const overloads
-  /// keep ingest disabled (kFailedPrecondition), preserving the frozen
+  /// \brief Mutable-database overload: identical serving behavior, plus
+  /// the ingest path (AppendObservation) is enabled. The const overload
+  /// keeps ingest disabled (kFailedPrecondition), preserving the frozen
   /// snapshot guarantee for callers that rely on it.
-  explicit QueryService(core::Database* db, ServiceOptions options = {});
-  QueryService(core::ShardedDatabase* db, ServiceOptions options = {});
+  explicit QueryService(core::ShardedDatabase* db,
+                        ServiceOptions options = {});
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -425,11 +412,10 @@ class QueryService {
   /// stop it. A request whose deadline has already passed resolves
   /// immediately with Status::DeadlineExceeded; a full lane either rejects
   /// (Status::Unavailable) or blocks, per BackpressurePolicy; after
-  /// Shutdown() every submission resolves with Status::Unavailable. On a
-  /// sharded service an object_filter referencing an id outside the
-  /// database resolves with Status::InvalidArgument at submission (the
-  /// router cannot translate it); the unsharded service reports the same
-  /// error from the executor at dispatch.
+  /// Shutdown() every submission resolves with Status::Unavailable. An
+  /// object_filter referencing an id outside the database resolves with
+  /// Status::InvalidArgument at submission (the router cannot translate
+  /// it).
   QueryTicket Submit(core::QueryRequest request,
                      Priority priority = Priority::kInteractive);
 
@@ -445,12 +431,12 @@ class QueryService {
       std::vector<core::QueryRequest> requests,
       Priority priority = Priority::kInteractive);
 
-  /// \brief Appends an observation to object `id` (global id in sharded
-  /// mode), returning the DataVersion the mutation was stamped with. The
+  /// \brief Appends an observation to object `id` (a global id),
+  /// returning the DataVersion the mutation was stamped with. The
   /// serving-time ingest path: validation and epoch bookkeeping happen in
-  /// Database::AppendObservation under the owning shard's ingest lock —
-  /// only that shard's dispatch serializes against the append, every
-  /// other shard keeps serving untouched. On success the affected
+  /// ShardedDatabase::AppendObservation under the owning shard's ingest
+  /// lock — only that shard's dispatch serializes against the append,
+  /// every other shard keeps serving untouched. On success the affected
   /// standing subscriptions (WindowPolicy::refresh_on_ingest) are marked
   /// dirty for the next refresh round. Fails with kFailedPrecondition on
   /// a service constructed over a const database, kNotFound for an
@@ -522,7 +508,7 @@ class QueryService {
   /// The executor options actually in effect (after sanitization).
   const ServiceOptions& options() const { return options_; }
 
-  /// Shard executors this service runs (1 for a plain Database).
+  /// Shard executors this service runs.
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
   }
@@ -538,6 +524,14 @@ class QueryService {
   struct ShardLane;  // executor + two-lane queue + dispatcher of a shard
   struct ObsHandles;  // resolved registry handles (service + per shard)
 
+  /// The admission path behind Submit (one request, `allow_block`) and
+  /// SubmitBurst (never blocks): prepares a ticket per request, then
+  /// decides each in a fixed order — shutdown, deadline, injected
+  /// admission fault, routing error, health gate, shed/degrade, enqueue —
+  /// with the whole set enqueued under one queue-lock hold, and resolves
+  /// every refused request before returning.
+  std::vector<QueryTicket> Admit(std::vector<core::QueryRequest> requests,
+                                 Priority priority, bool allow_block);
   /// Builds the gather (sub-requests, merge metadata, plan pinning) for
   /// one prepared parent. Returns non-OK — without touching any queue —
   /// when the request cannot be routed (invalid object_filter).
@@ -546,14 +540,12 @@ class QueryService {
   /// Appends every sub of `gather` to its target lane under `lock`,
   /// honoring capacity/backpressure all-or-nothing. Returns non-OK
   /// (enqueueing nothing) when the submission must be rejected. With
-  /// `allow_block` (solo Submit under kBlock) it may release and
-  /// reacquire `lock` while waiting for space on every target; bursts
-  /// pass false so the whole burst stays under one uninterrupted hold.
+  /// `allow_block` (Submit under kBlock) it may release and reacquire
+  /// `lock` while waiting for space on every target; bursts pass false
+  /// so the whole burst stays under one uninterrupted hold.
   util::Status TryEnqueueLocked(
       const std::shared_ptr<internal::GatherState>& gather, Priority priority,
       std::unique_lock<std::mutex>* lock, bool allow_block);
-  /// Wakes the dispatcher of every shard `gather` targets.
-  void NotifyTargets(const internal::GatherState& gather);
 
   void DispatcherLoop(uint32_t shard);
   /// Executes one drained set on shard `shard`: resolves stale entries,
@@ -589,9 +581,9 @@ class QueryService {
   util::Status MaybeShedLocked(const internal::GatherState& gather,
                                Priority priority, bool* degrade_instead);
   /// Drops sub-routes targeting quarantined shards (recording their
-  /// objects as missing) and counts admitted probes. Returns non-OK when
-  /// every target is quarantined with no probe due, or when the request
-  /// cannot tolerate a partial answer.
+  /// objects as missing), marks and counts the subs admitted as their
+  /// shard's probe. Returns non-OK when every target is quarantined with
+  /// no probe due, or when the request cannot tolerate a partial answer.
   util::Status ApplyHealthGate(
       const std::shared_ptr<internal::GatherState>& gather);
   /// Schedules a retry of sub `sub_index` when `outcome` is a transient
@@ -602,8 +594,11 @@ class QueryService {
       const std::shared_ptr<internal::GatherState>& gather, size_t sub_index,
       const util::Result<core::QueryResult>& outcome, uint32_t shard);
   /// Feeds a sub outcome into shard `shard`'s health tracker, counting
-  /// transitions (quarantines, recoveries) into stats and metrics.
-  void RecordShardOutcome(uint32_t shard, const util::Status& status);
+  /// transitions (quarantines, recoveries) into stats and metrics. A
+  /// caller-attributable outcome releases the probe slot only when `probe`
+  /// (the sub holds it).
+  void RecordShardOutcome(uint32_t shard, const util::Status& status,
+                          bool probe);
   /// Watchdog sweep over every shard from a submitting thread.
   void CheckWatchdogs(std::chrono::steady_clock::time_point now);
   /// Moves every retry entry of `lane` whose due time has passed `now`
@@ -619,11 +614,9 @@ class QueryService {
   SubscriptionDelta BuildDelta(internal::SubscriptionState& sub,
                                const core::QueryResult& result);
 
-  const core::Database* db_ = nullptr;            // legacy mode
-  const core::ShardedDatabase* sharded_ = nullptr;  // sharded mode
-  /// Ingest-capable aliases of db_/sharded_; null when constructed over a
-  /// const database (ingest then fails with kFailedPrecondition).
-  core::Database* mutable_db_ = nullptr;
+  const core::ShardedDatabase* sharded_ = nullptr;
+  /// Ingest-capable alias of sharded_; null when constructed over a const
+  /// database (ingest then fails with kFailedPrecondition).
   core::ShardedDatabase* mutable_sharded_ = nullptr;
   ServiceOptions options_;
 

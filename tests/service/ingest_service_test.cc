@@ -63,12 +63,17 @@ core::Observation UniformObs(Timestamp t, uint32_t n) {
                  .ValueOrDie()};
 }
 
+/// The one-shard database the single-executor service routes.
+core::ShardedDatabase OneShard() {
+  return core::ShardedDatabase(core::ShardingOptions{.num_shards = 1});
+}
+
 TEST(IngestServiceTest, ConstServiceKeepsIngestDisabled) {
-  core::Database db;
+  core::ShardedDatabase db = OneShard();
   const ChainId chain = db.AddChain(PaperChainV());
   ASSERT_TRUE(db.AddObjectAt(chain, sparse::ProbVector::Delta(3, 0)).ok());
 
-  const core::Database* frozen = &db;
+  const core::ShardedDatabase* frozen = &db;
   QueryService service(frozen);
   const auto result = service.AppendObservation(0, ObsAt(1, 3, 1));
   ASSERT_FALSE(result.ok());
@@ -77,7 +82,7 @@ TEST(IngestServiceTest, ConstServiceKeepsIngestDisabled) {
 }
 
 TEST(IngestServiceTest, MutableServiceAppliesWithMonotonicVersions) {
-  core::Database db;
+  core::ShardedDatabase db = OneShard();
   const ChainId chain = db.AddChain(PaperChainV());
   ASSERT_TRUE(db.AddObjectAt(chain, sparse::ProbVector::Delta(3, 0)).ok());
   ASSERT_TRUE(db.AddObjectAt(chain, sparse::ProbVector::Delta(3, 1)).ok());
@@ -93,12 +98,14 @@ TEST(IngestServiceTest, MutableServiceAppliesWithMonotonicVersions) {
   EXPECT_EQ(db.data_version(), last);
 
   // Rejections: unknown object, duplicate timestamp. Both counted, both
-  // leaving the database untouched.
+  // leaving the shard's data untouched; the rejected duplicate burns the
+  // global version it was allocated (ShardedDatabase::AppendObservation).
   EXPECT_EQ(service.AppendObservation(9, ObsAt(4, 3, 0)).status().code(),
             util::StatusCode::kNotFound);
   EXPECT_EQ(service.AppendObservation(0, ObsAt(3, 3, 0)).status().code(),
             util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(db.data_version(), last);
+  EXPECT_EQ(db.shard(0).data_version(), last);
+  EXPECT_EQ(db.data_version(), last + 1);
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.ingested, 3u);
@@ -115,7 +122,7 @@ TEST(IngestServiceTest, MutableServiceAppliesWithMonotonicVersions) {
 }
 
 TEST(IngestServiceTest, ShutdownRejectsIngest) {
-  core::Database db;
+  core::ShardedDatabase db = OneShard();
   const ChainId chain = db.AddChain(PaperChainV());
   ASSERT_TRUE(db.AddObjectAt(chain, sparse::ProbVector::Delta(3, 0)).ok());
   QueryService service(&db);
@@ -126,7 +133,7 @@ TEST(IngestServiceTest, ShutdownRejectsIngest) {
 }
 
 TEST(IngestServiceTest, IngestTraceRecordsTheApplySpan) {
-  core::Database db;
+  core::ShardedDatabase db = OneShard();
   const ChainId chain = db.AddChain(PaperChainV());
   ASSERT_TRUE(db.AddObjectAt(chain, sparse::ProbVector::Delta(3, 0)).ok());
   QueryService service(&db);
@@ -201,10 +208,11 @@ class IngestRebuildParityTest : public ::testing::TestWithParam<uint32_t> {};
 
 /// N interleaved appends and queries through the service, at every shard
 /// count: (a) mid-stream, the sharded service answers bit-identically to
-/// the legacy unsharded one at the same epoch; (b) after the stream, a
-/// FRESH database bulk-loaded with the final observation state answers
-/// every probe bit-identically to the grown one — ingest leaves no trace
-/// an equivalent cold load would not have.
+/// a QueryExecutor over the unsharded twin, grown by the same appends, at
+/// the same epoch; (b) after the stream, a FRESH database bulk-loaded with
+/// the final observation state answers every probe bit-identically to the
+/// grown one — ingest leaves no trace an equivalent cold load would not
+/// have.
 TEST_P(IngestRebuildParityTest, GrownEqualsRebuilt) {
   const uint64_t seed = ustdb::testing::TestSeed(650);
   SCOPED_TRACE(ustdb::testing::SeedTrace(seed));
@@ -216,7 +224,7 @@ TEST_P(IngestRebuildParityTest, GrownEqualsRebuilt) {
 
   ServiceOptions options;
   options.executor.num_threads = 2;
-  QueryService legacy(&pair.unsharded, options);
+  core::QueryExecutor twin(&pair.unsharded, {.num_threads = 2});
   QueryService sharded(&pair.sharded, options);
 
   util::Rng rng(seed ^ 0x16E57);
@@ -229,18 +237,18 @@ TEST_P(IngestRebuildParityTest, GrownEqualsRebuilt) {
       core::Observation obs{next_time[id],
                             RandomDistribution(spec.num_states, spec.num_states, &rng)};
       next_time[id] += 1 + rng.NextBounded(3);
-      // The SAME observation through both services; versions agree
-      // because both databases share one append history.
-      const auto va = legacy.AppendObservation(id, core::Observation(obs));
+      // The SAME observation into both databases; versions agree
+      // because both share one append history.
+      const auto va =
+          pair.unsharded.AppendObservation(id, core::Observation(obs));
       const auto vb = sharded.AppendObservation(id, std::move(obs));
       ASSERT_TRUE(va.ok()) << va.status();
       ASSERT_TRUE(vb.ok()) << vb.status();
       EXPECT_EQ(va.value(), vb.value());
     } else {
       const core::QueryRequest request = RandomReadRequest(spec, &rng);
-      QueryTicket a = legacy.Submit(core::QueryRequest(request));
+      const auto ra = twin.Run(request);
       QueryTicket b = sharded.Submit(core::QueryRequest(request));
-      const auto ra = GetWithin(&a);
       const auto rb = GetWithin(&b);
       ASSERT_EQ(ra.ok(), rb.ok()) << ra.status() << " vs " << rb.status();
       if (!ra.ok()) continue;
@@ -278,9 +286,8 @@ TEST_P(IngestRebuildParityTest, GrownEqualsRebuilt) {
     SCOPED_TRACE("probe " + std::to_string(probe));
     const core::QueryRequest request = RandomReadRequest(spec, &rng);
     const auto want = reference.Run(request);
-    QueryTicket a = legacy.Submit(core::QueryRequest(request));
+    const auto ra = twin.Run(request);
     QueryTicket b = sharded.Submit(core::QueryRequest(request));
-    const auto ra = GetWithin(&a);
     const auto rb = GetWithin(&b);
     ASSERT_EQ(ra.ok(), want.ok()) << ra.status() << " vs " << want.status();
     ASSERT_EQ(rb.ok(), want.ok());

@@ -42,8 +42,8 @@ TEST(LatencyMergeTest, SingleReservoirReadsItsOwnPercentiles) {
   std::vector<double> samples;
   for (int i = 1; i <= 100; ++i) samples.push_back(static_cast<double>(i));
   const LatencyPercentiles p = MergeLatencyPercentiles({samples});
-  // sorted[floor(q * (n-1))] — the formula the unsharded service always
-  // used; one reservoir must reproduce it exactly.
+  // sorted[floor(q * (n-1))] — the one-reservoir formula; a single
+  // reservoir must reproduce it exactly.
   EXPECT_EQ(p.p50_ms, 50.0);
   EXPECT_EQ(p.p99_ms, 99.0);
 }

@@ -1,5 +1,5 @@
 // End-to-end observability acceptance: a sustained mixed workload
-// (sharded and unsharded, solo and coalesced bursts, every predicate
+// (2 shards and 1 shard, solo and coalesced bursts, every predicate
 // family) must leave a metrics registry whose queue/plan/cache/prune
 // families carry shard and plan labels, export cleanly to both
 // Prometheus text and JSON, retain at least one sampled full trace from
@@ -86,6 +86,7 @@ void DriveMixedWorkload(QueryService* service, uint32_t num_states) {
 TEST(ObservabilityTest, MixedWorkloadPopulatesEveryFamilyEndToEnd) {
   const ShardedSpec spec;
   const ShardedPair pair = MakeShardedPair(spec, 2);
+  const ShardedPair one_shard = MakeShardedPair(spec, 1);
   obs::MetricsRegistry registry;
 
   ServiceOptions options;
@@ -95,13 +96,13 @@ TEST(ObservabilityTest, MixedWorkloadPopulatesEveryFamilyEndToEnd) {
   options.obs.trace_sample_every = 8;
   options.obs.slow_query_ring = 16;
 
-  // Sharded and unsharded services feed ONE registry: the shard label
+  // Two-shard and one-shard services feed ONE registry: the shard label
   // keeps their series apart while the families merge.
   {
     QueryService sharded(&pair.sharded, options);
     DriveMixedWorkload(&sharded, spec.num_states);
-    QueryService unsharded(&pair.unsharded, options);
-    DriveMixedWorkload(&unsharded, spec.num_states);
+    QueryService single(&one_shard.sharded, options);
+    DriveMixedWorkload(&single, spec.num_states);
 
     // --- ServiceStats agrees with the registry ---
     const ServiceStats stats = sharded.stats();
@@ -222,11 +223,11 @@ TEST(ObservabilityTest, MixedWorkloadPopulatesEveryFamilyEndToEnd) {
 
 TEST(ObservabilityTest, KernelDispatchFamilyFeedsGlobalRegistry) {
   const ShardedSpec spec;
-  const ShardedPair pair = MakeShardedPair(spec, 2);
+  const ShardedPair pair = MakeShardedPair(spec, 1);
   ServiceOptions options;
   options.executor.num_threads = 1;
 
-  QueryService service(&pair.unsharded, options);
+  QueryService service(&pair.sharded, options);
   core::QueryRequest request;
   request.predicate = core::PredicateKind::kExists;
   request.window =
@@ -251,14 +252,14 @@ TEST(ObservabilityTest, KernelDispatchFamilyFeedsGlobalRegistry) {
 
 TEST(ObservabilityTest, DisabledObservabilityKeepsRegistryUntouched) {
   const ShardedSpec spec;
-  const ShardedPair pair = MakeShardedPair(spec, 2);
+  const ShardedPair pair = MakeShardedPair(spec, 1);
   obs::MetricsRegistry registry;
   ServiceOptions options;
   options.executor.num_threads = 1;
   options.obs.registry = &registry;
   options.obs.enabled = false;
 
-  QueryService service(&pair.unsharded, options);
+  QueryService service(&pair.sharded, options);
   core::QueryRequest request;
   request.predicate = core::PredicateKind::kExists;
   request.window =

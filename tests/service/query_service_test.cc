@@ -1,8 +1,11 @@
 // QueryService behavior: ticket resolution parity with the bare executor,
 // burst coalescing (bit-identical to RunBatch), cancellation and deadline
 // edges, backpressure, priority ordering, and drain-on-shutdown with no
-// lost or double-resolved tickets. Tests stage deterministic queue states
-// with start_paused + Resume.
+// lost or double-resolved tickets, all on a one-shard service. Tests stage
+// deterministic queue states with Pause() + Resume(). The admission
+// refusals (expired deadline, shutdown, injected fault, unroutable
+// filter, full lane) run through both entry points, Submit and a
+// one-request SubmitBurst: same status, same message, same counters.
 
 #include "service/query_service.h"
 
@@ -13,8 +16,10 @@
 #include <vector>
 
 #include "core/executor.h"
+#include "core/shard_router.h"
 #include "testing/random_models.h"
 #include "util/cancellation.h"
+#include "util/fault_injector.h"
 #include "util/rng.h"
 
 namespace ustdb {
@@ -28,9 +33,9 @@ constexpr uint32_t kStates = 25;
 constexpr uint32_t kObjects = 200;
 constexpr auto kTestTimeout = std::chrono::milliseconds(30'000);
 
-core::Database MakeDb(uint64_t seed) {
+core::ShardedDatabase MakeDb(uint64_t seed) {
   util::Rng rng(seed);
-  core::Database db;
+  core::ShardedDatabase db(core::ShardingOptions{.num_shards = 1});
   const ChainId chain = db.AddChain(RandomChain(kStates, 3, &rng));
   for (uint32_t i = 0; i < kObjects; ++i) {
     (void)db.AddObjectAt(chain, RandomDistribution(kStates, 3, &rng))
@@ -53,8 +58,52 @@ ServiceOptions OneThreadOptions() {
   return options;
 }
 
+/// The two admission entry points: Submit, and SubmitBurst of one request.
+enum class Entry { kSubmit, kBurst };
+constexpr Entry kEntries[] = {Entry::kSubmit, Entry::kBurst};
+
+QueryTicket SubmitVia(Entry entry, QueryService* service,
+                      core::QueryRequest request) {
+  if (entry == Entry::kSubmit) return service->Submit(std::move(request));
+  std::vector<core::QueryRequest> burst;
+  burst.push_back(std::move(request));
+  return service->SubmitBurst(std::move(burst)).front();
+}
+
+/// A refusal as one entry point saw it: the resolved status and the
+/// counters right after.
+struct Refusal {
+  util::Status status;
+  ServiceStats stats;
+};
+
+/// Resolves `ticket`, which must already be refused, into a Refusal.
+Refusal Refused(QueryTicket* ticket, const QueryService& service) {
+  EXPECT_TRUE(ticket->resolved());
+  const auto result = ticket->Get();
+  EXPECT_FALSE(result.ok());
+  return {result.status(), service.stats()};
+}
+
+void ExpectSameRefusal(const Refusal& submit, const Refusal& burst) {
+  EXPECT_EQ(submit.status.code(), burst.status.code());
+  EXPECT_EQ(submit.status.message(), burst.status.message());
+  const ServiceStats& a = submit.stats;
+  const ServiceStats& b = burst.stats;
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+  EXPECT_EQ(a.deadline_expired, b.deadline_expired);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.solo_dispatches, b.solo_dispatches);
+  EXPECT_EQ(a.coalesced_batches, b.coalesced_batches);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.queue_depth, b.queue_depth);
+}
+
 TEST(QueryServiceTest, SubmitResolvesLikeSoloRun) {
-  core::Database db = MakeDb(21);
+  core::ShardedDatabase db = MakeDb(21);
   QueryService service(&db, OneThreadOptions());
 
   QueryTicket ticket = service.Submit(ExistsRequest());
@@ -62,7 +111,7 @@ TEST(QueryServiceTest, SubmitResolvesLikeSoloRun) {
   const auto result = ticket.Get();
   ASSERT_TRUE(result.ok()) << result.status();
 
-  core::QueryExecutor twin(&db, {.num_threads = 1});
+  core::QueryExecutor twin(&db.shard(0), {.num_threads = 1});
   const auto expected = twin.Run(ExistsRequest()).ValueOrDie();
   ASSERT_EQ(result.value().probabilities.size(),
             expected.probabilities.size());
@@ -81,13 +130,13 @@ TEST(QueryServiceTest, SubmitResolvesLikeSoloRun) {
 // dispatch whose per-request answers are bit-identical to a direct
 // RunBatch of the same requests.
 TEST(QueryServiceTest, BurstCoalescesBitIdenticalToRunBatch) {
-  core::Database db = MakeDb(22);
+  core::ShardedDatabase db = MakeDb(22);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
   options.queue_capacity = 128;
   options.max_batch = 64;
 
   QueryService service(&db, options);
+  service.Pause();
   std::vector<core::QueryRequest> burst(64, ExistsRequest());
   std::vector<QueryTicket> tickets = service.SubmitBurst(burst);
   ASSERT_EQ(tickets.size(), 64u);
@@ -101,7 +150,7 @@ TEST(QueryServiceTest, BurstCoalescesBitIdenticalToRunBatch) {
   std::vector<util::Result<core::QueryResult>> results;
   for (QueryTicket& ticket : tickets) results.push_back(ticket.Get());
 
-  core::QueryExecutor twin(&db, {.num_threads = 1});
+  core::QueryExecutor twin(&db.shard(0), {.num_threads = 1});
   const auto expected =
       twin.RunBatch(std::vector<core::QueryRequest>(64, ExistsRequest()));
 
@@ -132,11 +181,11 @@ TEST(QueryServiceTest, BurstCoalescesBitIdenticalToRunBatch) {
 }
 
 TEST(QueryServiceTest, CancelBeforeDequeueSkipsExecution) {
-  core::Database db = MakeDb(23);
+  core::ShardedDatabase db = MakeDb(23);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
 
   QueryService service(&db, options);
+  service.Pause();
   QueryTicket ticket = service.Submit(ExistsRequest());
   ticket.Cancel();
   service.Resume();
@@ -154,7 +203,7 @@ TEST(QueryServiceTest, CancelBeforeDequeueSkipsExecution) {
 }
 
 TEST(QueryServiceTest, CancelMidFlightResolvesCancelled) {
-  core::Database db = MakeDb(24);
+  core::ShardedDatabase db = MakeDb(24);
   QueryService service(&db, OneThreadOptions());
 
   // A caller-owned token linked beneath the ticket's: its poll budget
@@ -174,32 +223,33 @@ TEST(QueryServiceTest, CancelMidFlightResolvesCancelled) {
 }
 
 TEST(QueryServiceTest, ExpiredDeadlineResolvesAtSubmit) {
-  core::Database db = MakeDb(25);
-  ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
+  core::ShardedDatabase db = MakeDb(25);
+  std::vector<Refusal> refusals;
+  for (Entry entry : kEntries) {
+    QueryService service(&db, OneThreadOptions());
+    service.Pause();
+    core::QueryRequest request = ExistsRequest();
+    request.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    QueryTicket ticket = SubmitVia(entry, &service, std::move(request));
 
-  QueryService service(&db, options);
-  core::QueryRequest request = ExistsRequest();
-  request.deadline =
-      std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  QueryTicket ticket = service.Submit(std::move(request));
-
-  // Resolved synchronously: the dispatcher is paused, yet the ticket is
-  // already answered and nothing was queued.
-  ASSERT_TRUE(ticket.resolved());
-  EXPECT_EQ(service.queue_depth(), 0u);
-  const auto result = ticket.Get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(service.stats().deadline_expired, 1u);
+    // Resolved synchronously: the dispatcher is paused, yet the ticket is
+    // already answered and nothing was queued.
+    refusals.push_back(Refused(&ticket, service));
+    EXPECT_EQ(service.queue_depth(), 0u);
+    EXPECT_EQ(refusals.back().status.code(),
+              util::StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(refusals.back().stats.deadline_expired, 1u);
+  }
+  ExpectSameRefusal(refusals[0], refusals[1]);
 }
 
 TEST(QueryServiceTest, DeadlineExpiringInQueueResolvesExpired) {
-  core::Database db = MakeDb(26);
+  core::ShardedDatabase db = MakeDb(26);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
 
   QueryService service(&db, options);
+  service.Pause();
   core::QueryRequest request = ExistsRequest();
   request.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
@@ -213,37 +263,39 @@ TEST(QueryServiceTest, DeadlineExpiringInQueueResolvesExpired) {
 }
 
 TEST(QueryServiceTest, FullQueueRejectsWhenPolicyIsReject) {
-  core::Database db = MakeDb(27);
+  core::ShardedDatabase db = MakeDb(27);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
   options.queue_capacity = 2;
   options.backpressure = BackpressurePolicy::kReject;
 
-  QueryService service(&db, options);
-  QueryTicket first = service.Submit(ExistsRequest());
-  QueryTicket second = service.Submit(ExistsRequest());
-  QueryTicket third = service.Submit(ExistsRequest());
+  std::vector<Refusal> refusals;
+  for (Entry entry : kEntries) {
+    QueryService service(&db, options);
+    service.Pause();
+    QueryTicket first = service.Submit(ExistsRequest());
+    QueryTicket second = service.Submit(ExistsRequest());
+    QueryTicket third = SubmitVia(entry, &service, ExistsRequest());
 
-  ASSERT_TRUE(third.resolved());
-  const auto rejected = third.Get();
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_EQ(service.stats().rejected, 1u);
+    refusals.push_back(Refused(&third, service));
+    EXPECT_EQ(refusals.back().status.code(), util::StatusCode::kUnavailable);
+    EXPECT_EQ(refusals.back().stats.rejected, 1u);
 
-  service.Resume();
-  EXPECT_TRUE(first.Get().ok());
-  EXPECT_TRUE(second.Get().ok());
-  EXPECT_EQ(service.stats().completed, 2u);
+    service.Resume();
+    EXPECT_TRUE(first.Get().ok());
+    EXPECT_TRUE(second.Get().ok());
+    EXPECT_EQ(service.stats().completed, 2u);
+  }
+  ExpectSameRefusal(refusals[0], refusals[1]);
 }
 
 TEST(QueryServiceTest, FullQueueBlocksWhenPolicyIsBlock) {
-  core::Database db = MakeDb(28);
+  core::ShardedDatabase db = MakeDb(28);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
   options.queue_capacity = 1;
   options.backpressure = BackpressurePolicy::kBlock;
 
   QueryService service(&db, options);
+  service.Pause();
   QueryTicket first = service.Submit(ExistsRequest());
   QueryTicket blocked;
   std::thread producer([&service, &blocked] {
@@ -262,13 +314,13 @@ TEST(QueryServiceTest, FullQueueBlocksWhenPolicyIsBlock) {
 // paused service there is no dispatcher progress to wait for): overflow
 // entries reject immediately even under the blocking policy.
 TEST(QueryServiceTest, BurstOverflowRejectsEvenUnderBlockPolicy) {
-  core::Database db = MakeDb(34);
+  core::ShardedDatabase db = MakeDb(34);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
   options.queue_capacity = 2;
   options.backpressure = BackpressurePolicy::kBlock;
 
   QueryService service(&db, options);
+  service.Pause();
   std::vector<QueryTicket> tickets =
       service.SubmitBurst(std::vector<core::QueryRequest>(4, ExistsRequest()));
   ASSERT_EQ(tickets.size(), 4u);
@@ -297,11 +349,11 @@ TEST(QueryServiceTest, BurstOverflowRejectsEvenUnderBlockPolicy) {
 // because its one-member run pays the cold cache miss while the later
 // bulk run hits the pass the interactive run admitted.
 TEST(QueryServiceTest, InteractiveLaneDrainsBeforeBulk) {
-  core::Database db = MakeDb(29);
+  core::ShardedDatabase db = MakeDb(29);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
 
   QueryService service(&db, options);
+  service.Pause();
   QueryTicket bulk = service.Submit(ExistsRequest(), Priority::kBulk);
   QueryTicket interactive =
       service.Submit(ExistsRequest(), Priority::kInteractive);
@@ -322,12 +374,12 @@ TEST(QueryServiceTest, InteractiveLaneDrainsBeforeBulk) {
 }
 
 TEST(QueryServiceTest, ShutdownDrainsEveryQueuedTicket) {
-  core::Database db = MakeDb(30);
+  core::ShardedDatabase db = MakeDb(30);
   ServiceOptions options = OneThreadOptions();
-  options.start_paused = true;
   options.queue_capacity = 16;
 
   QueryService service(&db, options);
+  service.Pause();
   std::vector<QueryTicket> tickets;
   for (int i = 0; i < 10; ++i) {
     tickets.push_back(service.Submit(
@@ -348,27 +400,107 @@ TEST(QueryServiceTest, ShutdownDrainsEveryQueuedTicket) {
 }
 
 TEST(QueryServiceTest, SubmitAfterShutdownIsRejected) {
-  core::Database db = MakeDb(31);
+  core::ShardedDatabase db = MakeDb(31);
+  std::vector<Refusal> refusals;
+  for (Entry entry : kEntries) {
+    QueryService service(&db, OneThreadOptions());
+    service.Shutdown();
+
+    QueryTicket ticket = SubmitVia(entry, &service, ExistsRequest());
+    refusals.push_back(Refused(&ticket, service));
+    EXPECT_EQ(refusals.back().status.code(), util::StatusCode::kUnavailable);
+
+    // Shutdown outranks every other submission-time verdict: an expired
+    // request still resolves Unavailable, not DeadlineExceeded.
+    core::QueryRequest expired = ExistsRequest();
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    QueryTicket late = SubmitVia(entry, &service, std::move(expired));
+    refusals.push_back(Refused(&late, service));
+    EXPECT_EQ(refusals.back().status.code(), util::StatusCode::kUnavailable);
+  }
+  ExpectSameRefusal(refusals[0], refusals[2]);
+  ExpectSameRefusal(refusals[1], refusals[3]);
+}
+
+TEST(QueryServiceTest, InjectedAdmissionFaultResolvesAtSubmit) {
+  core::ShardedDatabase db = MakeDb(35);
+  std::vector<Refusal> refusals;
+  for (Entry entry : kEntries) {
+    QueryService service(&db, OneThreadOptions());
+    service.Pause();
+    {
+      util::ScopedFaultInjection scope(
+          util::FaultInjector::Parse("queue_admission:fail", 1)
+              .ValueOrDie());
+      QueryTicket ticket = SubmitVia(entry, &service, ExistsRequest());
+      refusals.push_back(Refused(&ticket, service));
+    }
+    EXPECT_EQ(refusals.back().status.code(), util::StatusCode::kUnavailable);
+    EXPECT_EQ(refusals.back().stats.rejected, 1u);
+    EXPECT_EQ(service.queue_depth(), 0u);
+  }
+  ExpectSameRefusal(refusals[0], refusals[1]);
+}
+
+/// An object_filter id outside the database cannot be routed: it resolves
+/// kInvalidArgument at submission with the executor's message, and never
+/// reaches a dispatcher.
+TEST(QueryServiceTest, OutOfRangeFilterResolvesAtSubmit) {
+  core::ShardedDatabase db = MakeDb(36);
+  core::QueryRequest request = ExistsRequest();
+  request.object_filter = std::vector<ObjectId>{0, kObjects + 3};
+  const auto executor_verdict =
+      core::QueryExecutor(&db.shard(0), {.num_threads = 1}).Run(request);
+  ASSERT_FALSE(executor_verdict.ok());
+
+  std::vector<Refusal> refusals;
+  for (Entry entry : kEntries) {
+    QueryService service(&db, OneThreadOptions());
+    service.Pause();
+    QueryTicket ticket = SubmitVia(entry, &service, request);
+    refusals.push_back(Refused(&ticket, service));
+    EXPECT_EQ(refusals.back().status.code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(refusals.back().status.message(),
+              executor_verdict.status().message());
+    EXPECT_EQ(refusals.back().stats.failed, 1u);
+    EXPECT_EQ(service.queue_depth(), 0u);
+  }
+  ExpectSameRefusal(refusals[0], refusals[1]);
+}
+
+/// A caller-set bounds-only answer of any predicate is the executor's
+/// answer: no position is invented, and the undecided intervals survive
+/// the merge.
+TEST(QueryServiceTest, BoundsOnlyAnswersMatchTheExecutor) {
+  core::ShardedDatabase db = MakeDb(37);
   QueryService service(&db, OneThreadOptions());
-  service.Shutdown();
-
-  QueryTicket ticket = service.Submit(ExistsRequest());
-  ASSERT_TRUE(ticket.resolved());
-  const auto result = ticket.Get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kUnavailable);
-
-  // Shutdown outranks every other submission-time verdict: an expired
-  // request still resolves Unavailable, not DeadlineExceeded.
-  core::QueryRequest expired = ExistsRequest();
-  expired.deadline =
-      std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  EXPECT_EQ(service.Submit(std::move(expired)).Get().status().code(),
-            util::StatusCode::kUnavailable);
+  core::QueryExecutor twin(&db.shard(0), {.num_threads = 1});
+  for (core::PredicateKind predicate :
+       {core::PredicateKind::kExists, core::PredicateKind::kForAll,
+        core::PredicateKind::kKTimes, core::PredicateKind::kThresholdExists,
+        core::PredicateKind::kTopKExists}) {
+    SCOPED_TRACE(static_cast<int>(predicate));
+    core::QueryRequest request = ExistsRequest();
+    request.predicate = predicate;
+    request.tau = 0.3;
+    request.k = 5;
+    request.degrade = core::DegradeMode::kBoundsOnly;
+    const auto got = service.Submit(core::QueryRequest(request)).Get();
+    const auto want = twin.Run(request);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_TRUE(got.value().degraded_bounds);
+    EXPECT_EQ(got.value().probabilities, want.value().probabilities);
+    EXPECT_EQ(got.value().undecided, want.value().undecided);
+    EXPECT_EQ(got.value().distributions.size(),
+              want.value().distributions.size());
+  }
 }
 
 TEST(QueryServiceTest, TicketResultIsOneShot) {
-  core::Database db = MakeDb(32);
+  core::ShardedDatabase db = MakeDb(32);
   QueryService service(&db, OneThreadOptions());
   QueryTicket ticket = service.Submit(ExistsRequest());
   ASSERT_TRUE(ticket.Get().ok());
@@ -388,7 +520,7 @@ TEST(QueryServiceTest, InvalidTicketFailsGracefully) {
 }
 
 TEST(QueryServiceTest, ConcurrentSubmittersAllResolve) {
-  core::Database db = MakeDb(33);
+  core::ShardedDatabase db = MakeDb(33);
   ServiceOptions options = OneThreadOptions();
   options.queue_capacity = 64;
   QueryService service(&db, options);

@@ -1,20 +1,34 @@
 // ShardHealthTracker state-machine tests (healthy -> degraded ->
 // quarantined on consecutive transient failures, wholesale reset on
 // success, single-probe admission with doubling capped backoff, the
-// dispatcher watchdog) and RetryBackoff properties (exponential growth,
-// cap, jitter bounds, determinism, 1ms floor).
+// dispatcher watchdog), RetryBackoff properties (exponential growth,
+// cap, jitter bounds, determinism, 1ms floor), and the service's use of
+// the probe slot: a refused submission releases only a slot it took, and
+// a partial answer keeps every answered object's payload.
 
 #include "service/resilience.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <initializer_list>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/executor.h"
+#include "service/query_service.h"
+#include "testing/sharded_fixture.h"
+#include "util/fault_injector.h"
 
 namespace ustdb {
 namespace service {
 namespace {
 
 using Clock = ShardHealthTracker::Clock;
+using ::ustdb::testing::MakeShardedPair;
+using ::ustdb::testing::ShardedPair;
+using ::ustdb::testing::ShardedSpec;
 using std::chrono::milliseconds;
 
 HealthPolicy TestPolicy() {
@@ -185,6 +199,155 @@ TEST(RetryBackoff, NeverBelowOneMillisecond) {
   policy.initial_backoff = milliseconds(0);
   policy.jitter = 1.0;
   EXPECT_GE(RetryBackoff(policy, 0, 3).count(), 1);
+}
+
+/// A two-shard service whose health policy quarantines a shard on its
+/// first transient failure and makes its probe due 1 ms later.
+class QuarantinedShardTest : public ::testing::Test {
+ protected:
+  QuarantinedShardTest() : pair_(MakeShardedPair(ShardedSpec{}, 2)) {
+    for (ObjectId id = 0; id < pair_.sharded.num_objects(); ++id) {
+      object_on_[pair_.sharded.shard_of_object(id)] = id;
+    }
+  }
+
+  static ServiceOptions Options() {
+    ServiceOptions options;
+    options.executor.num_threads = 2;
+    options.health = HealthPolicy{.degraded_after = 1,
+                                  .quarantine_after = 1,
+                                  .probe_backoff = milliseconds(1),
+                                  .max_probe_backoff = milliseconds(1),
+                                  .watchdog_stall = milliseconds(0)};
+    return options;
+  }
+
+  /// An exists request over every object.
+  static core::QueryRequest Unfiltered() {
+    core::QueryRequest request;
+    request.predicate = core::PredicateKind::kExists;
+    request.window =
+        core::QueryWindow::FromRanges(ShardedSpec{}.num_states, 4, 16, 1, 5)
+            .ValueOrDie();
+    return request;
+  }
+  /// The same request filtered to one object of each shard in `shards`.
+  core::QueryRequest On(std::initializer_list<uint32_t> shards) const {
+    core::QueryRequest request = Unfiltered();
+    request.object_filter.emplace();
+    for (uint32_t s : shards) request.object_filter->push_back(object_on_[s]);
+    return request;
+  }
+
+  /// Fails one request on shard `s` under a scoped `shard<s>:fail` rule,
+  /// which quarantines it.
+  void Quarantine(QueryService* service, uint32_t s) const {
+    auto parsed =
+        util::FaultInjector::Parse("shard" + std::to_string(s) + ":fail", 1);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    util::ScopedFaultInjection scope(std::move(parsed).ValueOrDie());
+    EXPECT_EQ(service->Submit(On({s})).Get().status().code(),
+              util::StatusCode::kUnavailable);
+    ASSERT_EQ(service->shard_health(s), ShardHealth::kQuarantined);
+  }
+
+  /// Quarantines shard 1, pauses the dispatchers and waits out the probe
+  /// backoff, then submits request A on shard 1: the health gate admits
+  /// it as the shard's one probe and it stays queued.
+  QueryTicket QueueProbe(QueryService* service) const {
+    Quarantine(service, 1);
+    service->Pause();
+    std::this_thread::sleep_for(milliseconds(5));
+    QueryTicket probe = service->Submit(On({1}));
+    EXPECT_FALSE(probe.resolved());
+    EXPECT_EQ(service->stats().probes, 1u);
+    return probe;
+  }
+
+  ShardedPair pair_;
+  ObjectId object_on_[2] = {0, 0};
+};
+
+/// A submission refused before the health gate (here: its deadline has
+/// passed) never took the probe slot, so it must not free it: the next
+/// shard-1 request finds the slot held by A and resolves kUnavailable.
+TEST_F(QuarantinedShardTest, PreGateRefusalKeepsAnotherRequestsProbeSlot) {
+  QueryService service(&pair_.sharded, Options());
+  QueryTicket probe = QueueProbe(&service);
+
+  core::QueryRequest expired = On({1});
+  expired.deadline = Clock::now() - std::chrono::seconds(1);
+  EXPECT_EQ(service.Submit(std::move(expired)).Get().status().code(),
+            util::StatusCode::kDeadlineExceeded);
+
+  QueryTicket next = service.Submit(On({1}));
+  ASSERT_TRUE(next.resolved());
+  EXPECT_EQ(next.Get().status().code(), util::StatusCode::kUnavailable);
+  EXPECT_EQ(service.stats().probes, 1u);
+
+  service.Resume();
+  EXPECT_TRUE(probe.Get().ok());
+  EXPECT_EQ(service.shard_health(1), ShardHealth::kHealthy);
+}
+
+/// A submission refused after the health gate (here: shard 0's full lane
+/// rejects a request whose shard-1 sub the gate dropped) must release
+/// only a probe slot it took — none — so a repeat cannot probe shard 1
+/// while A still holds the slot.
+TEST_F(QuarantinedShardTest, PostGateRefusalKeepsAnotherRequestsProbeSlot) {
+  ServiceOptions options = Options();
+  options.queue_capacity = 1;
+  QueryService service(&pair_.sharded, options);
+  QueryTicket probe = QueueProbe(&service);
+  QueryTicket filler = service.Submit(On({0}));  // shard 0's lane is full
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    std::vector<core::QueryRequest> burst;
+    burst.push_back(On({0, 1}));
+    QueryTicket both = service.SubmitBurst(std::move(burst)).front();
+    ASSERT_TRUE(both.resolved());
+    EXPECT_EQ(both.Get().status().code(), util::StatusCode::kUnavailable);
+    EXPECT_EQ(service.stats().probes, 1u);
+  }
+
+  service.Resume();
+  EXPECT_TRUE(probe.Get().ok());
+  EXPECT_TRUE(filler.Get().ok());
+}
+
+/// A partial k-times answer (one shard quarantined) keeps the full
+/// distribution of every object the healthy shard answered, equal to a
+/// QueryExecutor's over the unsharded twin.
+TEST_F(QuarantinedShardTest, PartialKTimesKeepsEveryAnsweredDistribution) {
+  ServiceOptions options = Options();
+  options.health.probe_backoff = milliseconds(60'000);  // no probe here
+  options.health.max_probe_backoff = milliseconds(60'000);
+  QueryService service(&pair_.sharded, options);
+  // Quarantine the shard that does not own object 0, so the answered
+  // objects start at the first result position.
+  const uint32_t healthy = pair_.sharded.shard_of_object(0);
+  Quarantine(&service, 1 - healthy);
+
+  core::QueryRequest request = Unfiltered();
+  request.predicate = core::PredicateKind::kKTimes;
+  const auto result = service.Submit(core::QueryRequest(request)).Get();
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result.value().partial);
+  const auto want =
+      core::QueryExecutor(&pair_.unsharded, {.num_threads = 1}).Run(request);
+  ASSERT_TRUE(want.ok());
+
+  const std::vector<core::ObjectKTimes>& got = result.value().distributions;
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.size() + result.value().missing_objects.size(),
+            pair_.sharded.num_objects());
+  for (const core::ObjectKTimes& entry : got) {
+    EXPECT_EQ(pair_.sharded.shard_of_object(entry.id), healthy);
+    EXPECT_EQ(entry.distribution,
+              want.value().distributions[entry.id].distribution)
+        << "object " << entry.id;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Sharding parity: randomized mixed workloads (exists / threshold / top-k
 // / k-times / for-all, solo and burst, filtered and unfiltered, contiguous
-// and gap windows) answered by a sharded QueryService at 2/4/8 shards must
-// be BIT-identical to the legacy single-executor service over the twin
-// unsharded Database — payloads, plan decisions (chains_object_based /
+// and gap windows) answered by a QueryService at 1/2/4/8 shards must be
+// BIT-identical to a QueryExecutor over the twin unsharded Database (Run
+// for solo submissions, RunBatch for bursts) — payloads, plan decisions
+// (chains_object_based /
 // chains_query_based mirror the per-chain choices; the threshold bound
 // decision is made globally by the router), and PruneStats, which must
 // also satisfy the Section V-C accounting invariants. The whole sweep runs
@@ -112,44 +113,44 @@ void ExpectPruneInvariants(const core::PruneStats& prune) {
 /// excluded — they describe the engine topology (pool slices, per-shard
 /// caches), not the answer.
 void ExpectSameResult(const core::QueryResult& sharded,
-                      const core::QueryResult& legacy) {
-  ASSERT_EQ(sharded.probabilities.size(), legacy.probabilities.size());
-  for (size_t i = 0; i < legacy.probabilities.size(); ++i) {
-    EXPECT_EQ(sharded.probabilities[i].id, legacy.probabilities[i].id);
+                      const core::QueryResult& reference) {
+  ASSERT_EQ(sharded.probabilities.size(), reference.probabilities.size());
+  for (size_t i = 0; i < reference.probabilities.size(); ++i) {
+    EXPECT_EQ(sharded.probabilities[i].id, reference.probabilities[i].id);
     EXPECT_EQ(sharded.probabilities[i].probability,
-              legacy.probabilities[i].probability)
+              reference.probabilities[i].probability)
         << "probability drift at entry " << i;
   }
-  ASSERT_EQ(sharded.distributions.size(), legacy.distributions.size());
-  for (size_t i = 0; i < legacy.distributions.size(); ++i) {
-    EXPECT_EQ(sharded.distributions[i].id, legacy.distributions[i].id);
+  ASSERT_EQ(sharded.distributions.size(), reference.distributions.size());
+  for (size_t i = 0; i < reference.distributions.size(); ++i) {
+    EXPECT_EQ(sharded.distributions[i].id, reference.distributions[i].id);
     EXPECT_EQ(sharded.distributions[i].distribution,
-              legacy.distributions[i].distribution)
+              reference.distributions[i].distribution)
         << "k-times distribution drift at entry " << i;
   }
   EXPECT_EQ(sharded.stats.chains_object_based,
-            legacy.stats.chains_object_based);
+            reference.stats.chains_object_based);
   EXPECT_EQ(sharded.stats.chains_query_based,
-            legacy.stats.chains_query_based);
-  EXPECT_EQ(sharded.stats.objects_evaluated, legacy.stats.objects_evaluated);
+            reference.stats.chains_query_based);
+  EXPECT_EQ(sharded.stats.objects_evaluated, reference.stats.objects_evaluated);
   EXPECT_EQ(sharded.stats.objects_multi_observation,
-            legacy.stats.objects_multi_observation);
+            reference.stats.objects_multi_observation);
   EXPECT_EQ(sharded.stats.prune.clusters_total,
-            legacy.stats.prune.clusters_total);
+            reference.stats.prune.clusters_total);
   EXPECT_EQ(sharded.stats.prune.clusters_bounded,
-            legacy.stats.prune.clusters_bounded);
+            reference.stats.prune.clusters_bounded);
   EXPECT_EQ(sharded.stats.prune.clusters_pruned,
-            legacy.stats.prune.clusters_pruned);
+            reference.stats.prune.clusters_pruned);
   EXPECT_EQ(sharded.stats.prune.clusters_refined,
-            legacy.stats.prune.clusters_refined);
+            reference.stats.prune.clusters_refined);
   EXPECT_EQ(sharded.stats.prune.objects_decided_by_bounds,
-            legacy.stats.prune.objects_decided_by_bounds);
+            reference.stats.prune.objects_decided_by_bounds);
   EXPECT_EQ(sharded.stats.prune.objects_refined,
-            legacy.stats.prune.objects_refined);
+            reference.stats.prune.objects_refined);
   EXPECT_EQ(sharded.stats.prune.bound_fallbacks,
-            legacy.stats.prune.bound_fallbacks);
+            reference.stats.prune.bound_fallbacks);
   ExpectPruneInvariants(sharded.stats.prune);
-  ExpectPruneInvariants(legacy.stats.prune);
+  ExpectPruneInvariants(reference.stats.prune);
 }
 
 util::Result<core::QueryResult> GetWithin(QueryTicket* ticket) {
@@ -158,7 +159,8 @@ util::Result<core::QueryResult> GetWithin(QueryTicket* ticket) {
 }
 
 /// Runs the sweep at one shard count: `rounds` random requests solo, then
-/// the same stream again as bursts, against both services.
+/// the same stream again as one burst, against the service and the
+/// executor.
 void RunParitySweep(uint32_t num_shards, uint64_t seed, int rounds) {
   SCOPED_TRACE("shards=" + std::to_string(num_shards));
   ShardedSpec spec;
@@ -170,7 +172,7 @@ void RunParitySweep(uint32_t num_shards, uint64_t seed, int rounds) {
 
   ServiceOptions options;
   options.executor.num_threads = 2;
-  QueryService legacy(&pair.unsharded, options);
+  core::QueryExecutor twin(&pair.unsharded, {.num_threads = 2});
   QueryService sharded(&pair.sharded, options);
   ASSERT_EQ(sharded.num_shards(), num_shards);
 
@@ -183,23 +185,22 @@ void RunParitySweep(uint32_t num_shards, uint64_t seed, int rounds) {
   for (int round = 0; round < rounds; ++round) {
     SCOPED_TRACE("solo round " + std::to_string(round));
     QueryTicket a = sharded.Submit(stream[round]);
-    QueryTicket b = legacy.Submit(stream[round]);
     const auto ra = GetWithin(&a);
-    const auto rb = GetWithin(&b);
+    const auto rb = twin.Run(stream[round]);
     ASSERT_EQ(ra.ok(), rb.ok()) << ra.status() << " vs " << rb.status();
     if (ra.ok()) ExpectSameResult(ra.value(), rb.value());
   }
 
-  // Same stream as one burst per service: coalesced per-shard RunBatch
-  // dispatch must not change a single bit either.
+  // Same stream as one burst and one RunBatch: coalesced per-shard
+  // RunBatch dispatch must not change a single bit either.
   std::vector<QueryTicket> burst_a =
       sharded.SubmitBurst(std::vector<core::QueryRequest>(stream));
-  std::vector<QueryTicket> burst_b =
-      legacy.SubmitBurst(std::vector<core::QueryRequest>(stream));
+  std::vector<util::Result<core::QueryResult>> burst_b =
+      twin.RunBatch(stream);
   for (int round = 0; round < rounds; ++round) {
     SCOPED_TRACE("burst round " + std::to_string(round));
     const auto ra = GetWithin(&burst_a[round]);
-    const auto rb = GetWithin(&burst_b[round]);
+    const auto& rb = burst_b[round];
     ASSERT_EQ(ra.ok(), rb.ok()) << ra.status() << " vs " << rb.status();
     if (ra.ok()) ExpectSameResult(ra.value(), rb.value());
   }
@@ -241,28 +242,27 @@ TEST(ShardedParityRebalanceTest, ParityHoldsAfterMigration) {
 
   ServiceOptions options;
   options.executor.num_threads = 1;
-  QueryService legacy(&pair.unsharded, options);
+  core::QueryExecutor twin(&pair.unsharded, {.num_threads = 1});
   QueryService sharded(&pair.sharded, options);
   util::Rng rng(seed ^ 0x4EB);
   for (int round = 0; round < 20; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     const core::QueryRequest request = RandomRequest(spec, &rng);
     QueryTicket a = sharded.Submit(request);
-    QueryTicket b = legacy.Submit(request);
     const auto ra = GetWithin(&a);
-    const auto rb = GetWithin(&b);
+    const auto rb = twin.Run(request);
     ASSERT_EQ(ra.ok(), rb.ok()) << ra.status() << " vs " << rb.status();
     if (ra.ok()) ExpectSameResult(ra.value(), rb.value());
   }
 }
 
 /// Errors route identically: an out-of-range filter id resolves
-/// kInvalidArgument on both services (the sharded one rejects at
-/// submission, the legacy one at dispatch — same status, same message).
+/// kInvalidArgument from the service (which rejects at submission) and
+/// from the executor — same status, same message.
 TEST(ShardedParityErrorTest, InvalidFilterSameStatus) {
   ShardedSpec spec;
   ShardedPair pair = MakeShardedPair(spec, 4);
-  QueryService legacy(&pair.unsharded);
+  core::QueryExecutor twin(&pair.unsharded);
   QueryService sharded(&pair.sharded);
 
   core::QueryRequest request;
@@ -272,9 +272,8 @@ TEST(ShardedParityErrorTest, InvalidFilterSameStatus) {
   request.object_filter = std::vector<ObjectId>{0, spec.num_objects + 7};
 
   QueryTicket a = sharded.Submit(core::QueryRequest(request));
-  QueryTicket b = legacy.Submit(core::QueryRequest(request));
   const auto ra = GetWithin(&a);
-  const auto rb = GetWithin(&b);
+  const auto rb = twin.Run(request);
   ASSERT_FALSE(ra.ok());
   ASSERT_FALSE(rb.ok());
   EXPECT_EQ(ra.status().code(), rb.status().code());

@@ -74,10 +74,9 @@ class ShardedRoutingTest : public ::testing::Test {
     shard_of_chain1_ = pair_.sharded.shard_of_chain(1);
   }
 
-  ServiceOptions PausedSolo() const {
+  ServiceOptions Solo() const {
     ServiceOptions options;
-    options.start_paused = true;
-    options.coalesce = false;  // one request per dispatch: FIFO observable
+    options.max_batch = 1;  // one request per dispatch: FIFO observable
     options.executor.num_threads = 2;
     return options;
   }
@@ -95,7 +94,8 @@ TEST_F(ShardedRoutingTest, FixtureSpreadsChainsAcrossShards) {
 /// A single-shard request never scatters: one queued entry, one solo
 /// dispatch, scatter counters untouched.
 TEST_F(ShardedRoutingTest, SingleShardRequestRidesOneLane) {
-  QueryService service(&pair_.sharded, PausedSolo());
+  QueryService service(&pair_.sharded, Solo());
+  service.Pause();
   QueryTicket ticket =
       service.Submit(ChainRequest(pair_, spec_, /*chain=*/0));
   EXPECT_EQ(service.queue_depth(), 1u);  // one sub on one lane
@@ -112,7 +112,8 @@ TEST_F(ShardedRoutingTest, SingleShardRequestRidesOneLane) {
 /// An unfiltered request over a two-shard database scatters exactly two
 /// subtasks — visible in the queue while paused and in the counters after.
 TEST_F(ShardedRoutingTest, SpanningRequestScattersOncePerShard) {
-  QueryService service(&pair_.sharded, PausedSolo());
+  QueryService service(&pair_.sharded, Solo());
+  service.Pause();
   QueryTicket ticket = service.Submit(ExistsRequest(spec_));
   EXPECT_EQ(service.queue_depth(), 2u);  // one sub per shard lane
   service.Resume();
@@ -129,9 +130,10 @@ TEST_F(ShardedRoutingTest, SpanningRequestScattersOncePerShard) {
 
 /// Two same-window requests staged on one shard's lane drain FIFO: the
 /// first pays that shard's cold EngineCache miss, the second hits the
-/// engine the first admitted. (coalesce=false keeps the dispatches solo.)
+/// engine the first admitted. (max_batch = 1 keeps the dispatches solo.)
 TEST_F(ShardedRoutingTest, ShardLaneDrainsFifo) {
-  QueryService service(&pair_.sharded, PausedSolo());
+  QueryService service(&pair_.sharded, Solo());
+  service.Pause();
   QueryTicket first = service.Submit(ChainRequest(pair_, spec_, 0));
   QueryTicket second = service.Submit(ChainRequest(pair_, spec_, 0));
   service.Resume();
@@ -151,7 +153,8 @@ TEST_F(ShardedRoutingTest, ShardLaneDrainsFifo) {
 /// interactive run pays the cold miss, bulk hits), while the other
 /// shard's lane is untouched by either.
 TEST_F(ShardedRoutingTest, InteractiveBeatsBulkWithinShard) {
-  QueryService service(&pair_.sharded, PausedSolo());
+  QueryService service(&pair_.sharded, Solo());
+  service.Pause();
   QueryTicket bulk =
       service.Submit(ChainRequest(pair_, spec_, 0), Priority::kBulk);
   QueryTicket interactive =
@@ -171,10 +174,11 @@ TEST_F(ShardedRoutingTest, InteractiveBeatsBulkWithinShard) {
 /// spanning request rejects outright and leaves the other shard's lane
 /// exactly as it was — no orphaned subtask.
 TEST_F(ShardedRoutingTest, RejectedScatterLeavesNoPartialFanOut) {
-  ServiceOptions options = PausedSolo();
+  ServiceOptions options = Solo();
   options.queue_capacity = 1;
   options.backpressure = BackpressurePolicy::kReject;
   QueryService service(&pair_.sharded, options);
+  service.Pause();
 
   // Fill chain 0's shard lane to capacity.
   QueryTicket occupant = service.Submit(ChainRequest(pair_, spec_, 0));
@@ -201,10 +205,11 @@ TEST_F(ShardedRoutingTest, RejectedScatterLeavesNoPartialFanOut) {
 /// parks the producer until the dispatcher frees EVERY target, then
 /// enqueues the whole fan-out at once and completes normally.
 TEST_F(ShardedRoutingTest, BlockedScatterAdmitsWholeFanOut) {
-  ServiceOptions options = PausedSolo();
+  ServiceOptions options = Solo();
   options.queue_capacity = 1;
   options.backpressure = BackpressurePolicy::kBlock;
   QueryService service(&pair_.sharded, options);
+  service.Pause();
 
   QueryTicket occupant = service.Submit(ChainRequest(pair_, spec_, 0));
   EXPECT_EQ(service.queue_depth(), 1u);
@@ -234,7 +239,8 @@ TEST_F(ShardedRoutingTest, BlockedScatterAdmitsWholeFanOut) {
 /// Pause holds every shard's dispatcher, not just one: staged work on
 /// both lanes stays unresolved until Resume releases them together.
 TEST_F(ShardedRoutingTest, PauseHoldsAllShardLanes) {
-  QueryService service(&pair_.sharded, PausedSolo());
+  QueryService service(&pair_.sharded, Solo());
+  service.Pause();
   QueryTicket on_zero = service.Submit(ChainRequest(pair_, spec_, 0));
   QueryTicket on_one = service.Submit(ChainRequest(pair_, spec_, 1));
   EXPECT_FALSE(on_zero.WaitFor(std::chrono::milliseconds(50)));
@@ -251,7 +257,8 @@ TEST_F(ShardedRoutingTest, PauseHoldsAllShardLanes) {
 /// Cancelling a scattered parent cancels every queued subtask: the ticket
 /// resolves Cancelled and the lanes drain without executing anything.
 TEST_F(ShardedRoutingTest, CancelReachesEveryShardSubtask) {
-  QueryService service(&pair_.sharded, PausedSolo());
+  QueryService service(&pair_.sharded, Solo());
+  service.Pause();
   QueryTicket ticket = service.Submit(ExistsRequest(spec_));
   EXPECT_EQ(service.queue_depth(), 2u);
   ticket.Cancel();

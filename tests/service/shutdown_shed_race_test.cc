@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/database.h"
+#include "core/shard_router.h"
 #include "service/query_service.h"
 #include "testing/random_models.h"
 #include "util/rng.h"
@@ -31,9 +31,9 @@ constexpr uint32_t kStates = 20;
 constexpr uint32_t kObjects = 40;
 constexpr auto kGetTimeout = std::chrono::milliseconds(30'000);
 
-core::Database MakeDb(uint64_t seed) {
+core::ShardedDatabase MakeDb(uint64_t seed) {
   util::Rng rng(seed);
-  core::Database db;
+  core::ShardedDatabase db(core::ShardingOptions{.num_shards = 1});
   const ChainId chain = db.AddChain(RandomChain(kStates, 3, &rng));
   for (uint32_t i = 0; i < kObjects; ++i) {
     (void)db.AddObjectAt(chain, RandomDistribution(kStates, 3, &rng))
@@ -51,7 +51,7 @@ core::QueryRequest ExistsRequest() {
 }
 
 TEST(ShutdownShedRaceTest, EveryTicketResolvesExactlyOnce) {
-  core::Database db = MakeDb(31);
+  core::ShardedDatabase db = MakeDb(31);
 
   constexpr int kIterations = 20;
   constexpr int kSubmitters = 4;
@@ -62,14 +62,14 @@ TEST(ShutdownShedRaceTest, EveryTicketResolvesExactlyOnce) {
     options.executor.num_threads = 1;
     options.queue_capacity = 2;  // tiny: shedding and rejection both fire
     options.backpressure = BackpressurePolicy::kReject;
-    // Pause the dispatcher so queue depth builds to the shed thresholds
-    // while the submitters race Shutdown()'s drain.
-    options.start_paused = true;
     options.overload.enabled = true;
     options.overload.shed_bulk_at = 0.25;
     options.overload.shed_interactive_at = 0.5;
 
     QueryService service(&db, options);
+    // Pause the dispatcher so queue depth builds to the shed thresholds
+    // while the submitters race Shutdown()'s drain.
+    service.Pause();
 
     std::vector<std::vector<QueryTicket>> tickets(kSubmitters);
     std::atomic<int> started{0};

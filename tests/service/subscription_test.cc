@@ -41,9 +41,9 @@ using ::ustdb::testing::ShardedSpec;
 constexpr auto kGetTimeout = std::chrono::milliseconds(60'000);
 constexpr uint32_t kStates = 24;
 
-/// Unsharded monitoring fixture: one chain, `num_objects` objects at t=0.
+/// One-shard monitoring fixture: one chain, `num_objects` objects at t=0.
 struct Monitor {
-  core::Database db;
+  core::ShardedDatabase db{core::ShardingOptions{.num_shards = 1}};
   ChainId chain = 0;
   util::Rng rng;
 
@@ -291,7 +291,7 @@ TEST(SubscriptionTest, FailedRefreshKeepsSequencesGapFree) {
   Monitor m(seed, /*num_objects=*/8);
   QueryService service(&m.db);
 
-  // A request the executor deterministically rejects (out-of-range
+  // A request the service deterministically rejects (out-of-range
   // filter id): every refresh of this subscription fails, so it stays
   // dirty and its sequence never advances — no delivered gap.
   core::QueryRequest broken = ThresholdRequest();

@@ -41,9 +41,9 @@ constexpr uint32_t kObjects = 200;
 /// (CompleteSub -> merge, merge -> resolve) plus clock-read granularity.
 constexpr double kSlackSeconds = 2e-3;
 
-core::Database MakeDb(uint64_t seed) {
+core::ShardedDatabase MakeDb(uint64_t seed) {
   util::Rng rng(seed);
-  core::Database db;
+  core::ShardedDatabase db(core::ShardingOptions{.num_shards = 1});
   const ChainId chain = db.AddChain(RandomChain(kStates, 3, &rng));
   for (uint32_t i = 0; i < kObjects; ++i) {
     (void)db.AddObjectAt(chain, RandomDistribution(kStates, 3, &rng))
@@ -88,11 +88,11 @@ double CoverageSeconds(const std::vector<obs::TraceSpan>& spans) {
 }
 
 TEST(TracePropertyTest, SoloSpansSumToTicketLatency) {
-  core::Database db = MakeDb(61);
+  core::ShardedDatabase db = MakeDb(61);
   obs::MetricsRegistry registry;  // isolated from Global()
   ServiceOptions options;
   options.executor.num_threads = 1;
-  options.coalesce = false;  // solo dispatch => serial, non-overlapping
+  options.max_batch = 1;  // solo dispatch => serial, non-overlapping
   options.obs.registry = &registry;
   options.obs.trace_sample_every = 1;  // trace every request
   options.obs.slow_query_ring = 64;
@@ -158,10 +158,10 @@ TEST(TracePropertyTest, SoloSpansSumToTicketLatency) {
 }
 
 TEST(TracePropertyTest, CallerTraceHonoredWithObservabilityDisabled) {
-  core::Database db = MakeDb(62);
+  core::ShardedDatabase db = MakeDb(62);
   ServiceOptions options;
   options.executor.num_threads = 1;
-  options.coalesce = false;
+  options.max_batch = 1;
   options.obs.enabled = false;  // no registry, no sampling, no ring
 
   QueryService service(&db, options);
@@ -183,10 +183,10 @@ TEST(TracePropertyTest, CallerTraceHonoredWithObservabilityDisabled) {
 }
 
 TEST(TracePropertyTest, BoundPlanLeavesBoundSpan) {
-  core::Database db = MakeDb(63);
+  core::ShardedDatabase db = MakeDb(63);
   ServiceOptions options;
   options.executor.num_threads = 1;
-  options.coalesce = false;
+  options.max_batch = 1;
   options.obs.enabled = false;
 
   QueryService service(&db, options);
