@@ -227,119 +227,6 @@ struct QueryExecutor::KTimesEval {
   std::atomic<uint32_t> done{0};
 };
 
-/// Registry handles this executor feeds, resolved once at construction
-/// (resolution is the only locking operation; every update below is a
-/// lock-free striped-atomic add). Null when ObsOptions::enabled is false.
-/// Counter families mirror ExecStats/PruneStats/EngineCacheStats field
-/// for field so each event keeps exactly one increment site.
-struct QueryExecutor::ObsHandles {
-  int32_t shard = -1;  ///< trace-span shard, parsed from the labels
-
-  obs::Histogram* stage_plan;
-  obs::Histogram* stage_bound;
-  obs::Histogram* stage_build;
-  obs::Histogram* stage_evaluate;
-  obs::Counter* chains_ob;
-  obs::Counter* chains_qb;
-  obs::Counter* objects_single;
-  obs::Counter* objects_multi;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
-  obs::Counter* cache_evictions;
-  obs::Counter* cache_invalidations;
-  obs::Counter* cache_shift_extends;
-  obs::Counter* cache_bound_hits;
-  obs::Counter* cache_bound_misses;
-  obs::Counter* cache_bound_evictions;
-  obs::Counter* clusters_bounded;
-  obs::Counter* clusters_pruned;
-  obs::Counter* clusters_refined;
-  obs::Counter* objects_by_bounds;
-  obs::Counter* objects_refined;
-  obs::Counter* objects_early;
-  obs::Counter* bound_fallbacks;
-  obs::Counter* runs;
-
-  explicit ObsHandles(const obs::ObsOptions& options) {
-    obs::MetricsRegistry* reg = options.ResolvedRegistry();
-    const obs::Labels& base = options.labels;
-    if (auto it = base.find("shard"); it != base.end()) {
-      shard = std::atoi(it->second.c_str());
-    }
-    const auto with = [&base](const std::string& key,
-                              const std::string& value) {
-      obs::Labels l = base;
-      l[key] = value;
-      return l;
-    };
-    const char* kStage = "ustdb_exec_stage_seconds";
-    const char* kStageHelp =
-        "Executor stage durations (plan decision, bound pass, engine "
-        "build, per-object evaluation)";
-    stage_plan = reg->GetHistogram(kStage, with("stage", "plan"), kStageHelp,
-                                   "seconds");
-    stage_bound = reg->GetHistogram(kStage, with("stage", "bound"),
-                                    kStageHelp, "seconds");
-    stage_build = reg->GetHistogram(kStage, with("stage", "engine_build"),
-                                    kStageHelp, "seconds");
-    stage_evaluate = reg->GetHistogram(kStage, with("stage", "evaluate"),
-                                       kStageHelp, "seconds");
-    const char* kChains = "ustdb_exec_chains_total";
-    const char* kChainsHelp = "Chain classes evaluated, by decided plan";
-    chains_ob =
-        reg->GetCounter(kChains, with("plan", "object_based"), kChainsHelp);
-    chains_qb =
-        reg->GetCounter(kChains, with("plan", "query_based"), kChainsHelp);
-    const char* kObjects = "ustdb_exec_objects_total";
-    const char* kObjectsHelp = "Objects answered, by engine kind";
-    objects_single =
-        reg->GetCounter(kObjects, with("kind", "single"), kObjectsHelp);
-    objects_multi =
-        reg->GetCounter(kObjects, with("kind", "multi"), kObjectsHelp);
-    const char* kCache = "ustdb_exec_cache_events_total";
-    const char* kCacheHelp =
-        "EngineCache events (QB store and cluster bound store)";
-    cache_hits = reg->GetCounter(kCache, with("kind", "hit"), kCacheHelp);
-    cache_misses = reg->GetCounter(kCache, with("kind", "miss"), kCacheHelp);
-    cache_evictions =
-        reg->GetCounter(kCache, with("kind", "eviction"), kCacheHelp);
-    cache_invalidations =
-        reg->GetCounter(kCache, with("kind", "invalidation"), kCacheHelp);
-    cache_shift_extends =
-        reg->GetCounter(kCache, with("kind", "shift_extend"), kCacheHelp);
-    cache_bound_hits =
-        reg->GetCounter(kCache, with("kind", "bound_hit"), kCacheHelp);
-    cache_bound_misses =
-        reg->GetCounter(kCache, with("kind", "bound_miss"), kCacheHelp);
-    cache_bound_evictions =
-        reg->GetCounter(kCache, with("kind", "bound_eviction"), kCacheHelp);
-    const char* kClusters = "ustdb_prune_clusters_total";
-    const char* kClustersHelp =
-        "Section V-C cluster bound-pass outcomes (see PruneStats)";
-    clusters_bounded =
-        reg->GetCounter(kClusters, with("outcome", "bounded"), kClustersHelp);
-    clusters_pruned =
-        reg->GetCounter(kClusters, with("outcome", "pruned"), kClustersHelp);
-    clusters_refined =
-        reg->GetCounter(kClusters, with("outcome", "refined"), kClustersHelp);
-    const char* kPruneObjects = "ustdb_prune_objects_total";
-    const char* kPruneObjectsHelp =
-        "Per-object pruning outcomes (see PruneStats)";
-    objects_by_bounds = reg->GetCounter(
-        kPruneObjects, with("outcome", "decided_by_bounds"),
-        kPruneObjectsHelp);
-    objects_refined = reg->GetCounter(
-        kPruneObjects, with("outcome", "refined"), kPruneObjectsHelp);
-    objects_early = reg->GetCounter(
-        kPruneObjects, with("outcome", "decided_early"), kPruneObjectsHelp);
-    bound_fallbacks = reg->GetCounter(
-        "ustdb_prune_bound_fallbacks_total", base,
-        "Requested/chosen bound passes that fell back to per-chain plans");
-    runs = reg->GetCounter("ustdb_exec_runs_total", with("kind", "batch"),
-                           "Executor runs (Run is a one-member RunBatch)");
-  }
-};
-
 /// Either the caller's filter (borrowed — the request outlives the run) or
 /// the implicit identity range [0, num_objects); never materializes ids.
 class QueryExecutor::Selection {
@@ -371,46 +258,77 @@ QueryExecutor::QueryExecutor(const Database* db, ExecutorOptions options)
       planner_(db),
       cache_(options.cache_capacity),
       pool_(options.num_threads) {
+  if (auto it = options_.obs.labels.find("shard");
+      it != options_.obs.labels.end()) {
+    trace_shard_ = std::atoi(it->second.c_str());
+  }
   if (options_.obs.enabled) {
-    obs_ = std::make_unique<ObsHandles>(options_.obs);
+    options_.obs.ResolvedRegistry()->AddCollector(
+        this, [this](obs::MetricsWriter* out) { CollectMetrics(out); });
   }
 }
 
-QueryExecutor::~QueryExecutor() = default;
-
-void QueryExecutor::FeedRunStats(const ExecStats& stats) {
-  if (obs_ == nullptr) return;
-  const auto add = [](obs::Counter* c, uint64_t n) {
-    if (n != 0) c->Add(n);
-  };
-  add(obs_->chains_ob, stats.chains_object_based);
-  add(obs_->chains_qb, stats.chains_query_based);
-  add(obs_->objects_single, stats.objects_evaluated);
-  add(obs_->objects_multi, stats.objects_multi_observation);
-  add(obs_->clusters_bounded, stats.prune.clusters_bounded);
-  add(obs_->clusters_pruned, stats.prune.clusters_pruned);
-  add(obs_->clusters_refined, stats.prune.clusters_refined);
-  add(obs_->objects_by_bounds, stats.prune.objects_decided_by_bounds);
-  add(obs_->objects_refined, stats.prune.objects_refined);
-  add(obs_->objects_early, stats.prune.objects_decided_early);
-  add(obs_->bound_fallbacks, stats.prune.bound_fallbacks);
+QueryExecutor::~QueryExecutor() {
+  if (options_.obs.enabled) {
+    options_.obs.ResolvedRegistry()->RemoveCollector(this);
+  }
 }
 
-void QueryExecutor::FeedCacheDelta(const EngineCacheStats& before) {
-  if (obs_ == nullptr) return;
-  const EngineCacheStats& now = cache_.stats();
-  const auto add = [](obs::Counter* c, uint64_t n) {
-    if (n != 0) c->Add(n);
-  };
-  add(obs_->cache_hits, now.hits - before.hits);
-  add(obs_->cache_misses, now.misses - before.misses);
-  add(obs_->cache_evictions, now.evictions - before.evictions);
-  add(obs_->cache_invalidations, now.invalidations - before.invalidations);
-  add(obs_->cache_shift_extends, now.shift_extends - before.shift_extends);
-  add(obs_->cache_bound_hits, now.bound_hits - before.bound_hits);
-  add(obs_->cache_bound_misses, now.bound_misses - before.bound_misses);
-  add(obs_->cache_bound_evictions,
-      now.bound_evictions - before.bound_evictions);
+EngineCacheStats QueryExecutor::cache_stats() const {
+  std::lock_guard<std::mutex> lock(totals_mu_);
+  return totals_.cache;
+}
+
+void QueryExecutor::CollectMetrics(obs::MetricsWriter* out) const {
+  const obs::Labels& base = options_.obs.labels;
+  for (const auto& [stage, histogram] :
+       {std::pair{"plan", &stage_plan_}, std::pair{"bound", &stage_bound_},
+        std::pair{"engine_build", &stage_build_},
+        std::pair{"evaluate", &stage_evaluate_}}) {
+    obs::Labels labels = base;
+    labels["stage"] = stage;
+    out->AddHistogram("ustdb_exec_stage_seconds", labels,
+                      histogram->Snapshot(),
+                      "Executor stage durations (plan decision, bound pass, "
+                      "engine build, per-object evaluation)",
+                      "seconds");
+  }
+
+  std::lock_guard<std::mutex> lock(totals_mu_);
+  const RunTotals& t = totals_;
+  out->AddCounters("ustdb_exec_chains_total", base, "plan",
+                   {{"object_based", t.chains_object_based},
+                    {"query_based", t.chains_query_based}},
+                   "Chain classes evaluated, by decided plan");
+  out->AddCounters("ustdb_exec_objects_total", base, "kind",
+                   {{"single", t.objects_evaluated},
+                    {"multi", t.objects_multi_observation}},
+                   "Objects answered, by engine kind");
+  out->AddCounters("ustdb_exec_cache_events_total", base, "kind",
+                   {{"hit", t.cache.hits},
+                    {"miss", t.cache.misses},
+                    {"eviction", t.cache.evictions},
+                    {"invalidation", t.cache.invalidations},
+                    {"shift_extend", t.cache.shift_extends},
+                    {"bound_hit", t.cache.bound_hits},
+                    {"bound_miss", t.cache.bound_misses},
+                    {"bound_eviction", t.cache.bound_evictions}},
+                   "EngineCache events (QB store and cluster bound store)");
+  out->AddCounters("ustdb_prune_clusters_total", base, "outcome",
+                   {{"bounded", t.clusters_bounded},
+                    {"pruned", t.clusters_pruned},
+                    {"refined", t.clusters_refined}},
+                   "Section V-C cluster bound-pass outcomes (see PruneStats)");
+  out->AddCounters("ustdb_prune_objects_total", base, "outcome",
+                   {{"decided_by_bounds", t.objects_decided_by_bounds},
+                    {"refined", t.objects_refined},
+                    {"decided_early", t.objects_decided_early}},
+                   "Per-object pruning outcomes (see PruneStats)");
+  out->AddCounter(
+      "ustdb_prune_bound_fallbacks_total", base, t.bound_fallbacks,
+      "Requested/chosen bound passes that fell back to per-chain plans");
+  out->AddCounters("ustdb_exec_runs_total", base, "kind", {{"batch", t.runs}},
+                   "Executor runs (Run is a one-member RunBatch)");
 }
 
 util::Status QueryExecutor::ValidateFilter(
@@ -712,12 +630,10 @@ util::Result<QueryResult> QueryExecutor::Run(const QueryRequest& request) {
 std::vector<util::Result<QueryResult>> QueryExecutor::RunBatch(
     std::span<const QueryRequest> requests) {
   // Every member's telemetry, kept whether the member answers, fails or
-  // stops: this one record becomes the answer's stats, the registry feed
-  // and last_run_stats().
+  // stops: this one record becomes the answer's stats, the run totals and
+  // last_run_stats().
   std::vector<ExecStats> stats(requests.size());
   for (ExecStats& s : stats) s.threads_used = threads_;
-  EngineCacheStats cache_before;
-  if (obs_ != nullptr) cache_before = cache_.stats();
 
   // Fault boundary: injected throws and allocation failures on this
   // (controlling) thread fail every member transiently instead of
@@ -737,16 +653,29 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatch(
         "allocation failed during query execution"));
   }
 
-  // One feed per member: partial counters of a stopped member included —
-  // that work happened. Cache events are fed once, as the whole batch's
-  // delta, never from the per-member attributed stats.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    FeedRunStats(stats[i]);
-    if (results[i].ok()) results[i]->stats = stats[i];
+  // Totals take every member's counters, a stopped member's partial ones
+  // included — that work happened. Cache events come from the cache's own
+  // counters, never from the per-member attributed stats.
+  {
+    std::lock_guard<std::mutex> lock(totals_mu_);
+    ++totals_.runs;
+    for (const ExecStats& st : stats) {
+      totals_.chains_object_based += st.chains_object_based;
+      totals_.chains_query_based += st.chains_query_based;
+      totals_.objects_evaluated += st.objects_evaluated;
+      totals_.objects_multi_observation += st.objects_multi_observation;
+      totals_.clusters_bounded += st.prune.clusters_bounded;
+      totals_.clusters_pruned += st.prune.clusters_pruned;
+      totals_.clusters_refined += st.prune.clusters_refined;
+      totals_.objects_decided_by_bounds += st.prune.objects_decided_by_bounds;
+      totals_.objects_refined += st.prune.objects_refined;
+      totals_.objects_decided_early += st.prune.objects_decided_early;
+      totals_.bound_fallbacks += st.prune.bound_fallbacks;
+    }
+    totals_.cache = cache_.stats();
   }
-  if (obs_ != nullptr) {
-    obs_->runs->Add(1);
-    FeedCacheDelta(cache_before);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (results[i].ok()) results[i]->stats = stats[i];
   }
   if (!stats.empty()) last_stats_ = stats.back();
   return results;
@@ -764,7 +693,8 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   // Stage clocks are read only when metrics are on or some member carries
   // a trace: the "off" side of the overhead contract reads no clock.
   using SClock = std::chrono::steady_clock;
-  bool timing = obs_ != nullptr;
+  const bool metrics = options_.obs.enabled;
+  bool timing = metrics;
   for (const QueryRequest& request : requests) {
     timing = timing || request.trace != nullptr;
   }
@@ -774,7 +704,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   const auto seconds = [](SClock::time_point from, SClock::time_point to) {
     return std::chrono::duration<double>(to - from).count();
   };
-  const int32_t shard = obs_ != nullptr ? obs_->shard : -1;
+  const int32_t shard = trace_shard_;
   const SClock::time_point g0 = now();
   // Bound passes run inside the plan window [g0, g1); each is observed
   // under stage="bound" and its time is left out of stage="plan".
@@ -782,7 +712,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   const auto observe_bound = [&](SClock::time_point from,
                                  SClock::time_point to) {
     bound_seconds += seconds(from, to);
-    if (obs_ != nullptr) obs_->stage_bound->Observe(seconds(from, to));
+    if (metrics) stage_bound_.Observe(seconds(from, to));
   };
   // One epoch stamp for every member: the service's ingest lock keeps the
   // database frozen across the whole batch, so a frozen (never-appended)
@@ -1317,10 +1247,10 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     results[i]->epoch = run_epoch;
   }
 
-  if (obs_ != nullptr) {
-    obs_->stage_plan->Observe(std::max(0.0, seconds(g0, g1) - bound_seconds));
-    obs_->stage_build->Observe(seconds(g1, g2));
-    obs_->stage_evaluate->Observe(seconds(g2, last_wave_end));
+  if (metrics) {
+    stage_plan_.Observe(std::max(0.0, seconds(g0, g1) - bound_seconds));
+    stage_build_.Observe(seconds(g1, g2));
+    stage_evaluate_.Observe(seconds(g2, last_wave_end));
   }
   return results;
 }

@@ -27,7 +27,7 @@
 #define USTDB_CORE_EXECUTOR_H_
 
 #include <map>
-#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -52,13 +52,12 @@ struct ExecutorOptions {
   /// Capacity of the query-based engine cache. Sized for the number of
   /// distinct (chain, window) pairs a monitoring deployment keeps hot.
   size_t cache_capacity = 32;
-  /// Observability wiring: with obs.enabled the executor feeds per-stage
-  /// timing histograms, plan/cache/prune counters (labeled with
-  /// obs.labels, e.g. the owning service's shard) into obs.registry, and
-  /// records executor-side spans on any request carrying a QueryTrace.
-  /// ExecStats/PruneStats semantics are unchanged either way — the same
-  /// increment sites feed both. Disabled: no registry handle is resolved
-  /// and no extra clock is read.
+  /// Observability wiring: with obs.enabled the executor times its stages
+  /// and registers a collector with obs.registry that exports them with
+  /// its run totals and cache_stats(), labeled with obs.labels (e.g. the
+  /// owning service's shard). Disabled: no collector is registered and no
+  /// extra clock is read. Requests carrying a QueryTrace get executor
+  /// spans either way.
   obs::ObsOptions obs;
 };
 
@@ -81,6 +80,10 @@ class QueryExecutor {
   /// \param db the database to serve; must outlive the executor.
   /// \param options thread-pool size and engine-cache capacity.
   explicit QueryExecutor(const Database* db, ExecutorOptions options = {});
+
+  /// The registered collector holds `this`.
+  QueryExecutor(const QueryExecutor&) = delete;
+  QueryExecutor& operator=(const QueryExecutor&) = delete;
 
   ~QueryExecutor();
 
@@ -145,9 +148,9 @@ class QueryExecutor {
   /// result only within floating-point rounding of the same exact value).
   /// Failures are per member: one invalid request does not poison the
   /// batch. Every member's ExecStats is kept whatever its outcome: it is
-  /// the answered member's QueryResult::stats, the registry feed, and
-  /// (for the last member) last_run_stats(). An empty span yields an
-  /// empty vector.
+  /// the answered member's QueryResult::stats, is added to the run totals
+  /// the metrics collector exports, and (for the last member) becomes
+  /// last_run_stats(). An empty span yields an empty vector.
   ///
   /// Fault boundary: a FaultInjectedError or std::bad_alloc escaping the
   /// controlling thread (engine build, cache admission) is caught here and
@@ -157,16 +160,10 @@ class QueryExecutor {
   std::vector<util::Result<QueryResult>> RunBatch(
       std::span<const QueryRequest> requests);
 
-  /// \brief Cumulative engine-cache statistics across all runs.
-  ///
-  /// Thread contract (audited for the concurrent-snapshot hardening):
-  /// NOT synchronized against a concurrent Run()/RunBatch() — the cache
-  /// mutates its counters mid-run, so call this only from the thread that
-  /// issues runs (the QueryService reads it exactly there, on each
-  /// shard's dispatcher thread, and republishes a consistent copy through
-  /// ServiceStats::cache under its own lock). Concurrent observers should
-  /// read QueryService::stats() or the obs::MetricsRegistry instead.
-  const EngineCacheStats& cache_stats() const { return cache_.stats(); }
+  /// \brief Cumulative engine-cache statistics as of the end of the most
+  /// recent run (the cache changes only inside one). Safe from any
+  /// thread, also while a run is in flight.
+  EngineCacheStats cache_stats() const;
 
   /// \brief Telemetry of the most recent Run(), including runs that failed
   /// or were stopped mid-flight — whose Result carries no QueryResult to
@@ -180,8 +177,8 @@ class QueryExecutor {
   /// Thread contract: `last_stats_` is plain data written by RunBatch()
   /// with no synchronization — valid only from the Run-calling thread,
   /// after Run returns. Reading it while another thread is inside Run() is
-  /// a data race; concurrent observers get the same information race-free
-  /// from the obs::MetricsRegistry the executor feeds.
+  /// a data race; concurrent observers get the run totals race-free from
+  /// the metrics the executor exports.
   const ExecStats& last_run_stats() const { return last_stats_; }
 
   /// Drops every cached engine. Not needed after AppendObservation
@@ -203,21 +200,33 @@ class QueryExecutor {
   class Selection;    // non-allocating view of the ids a request evaluates
   struct ExistsEval;  // shared stop/error/counter state of one evaluation
   struct KTimesEval;  // ditto for the k-times evaluation loop
-  struct ObsHandles;  // resolved metric handles (null when obs disabled)
 
-  /// One feed site per member for the counter families sourced from
-  /// ExecStats (chains, objects, prune) — the stats themselves keep their
-  /// exact semantics; this mirrors them into the registry.
-  void FeedRunStats(const ExecStats& stats);
-  /// One feed site per batch for cache events: the delta of
-  /// cache_.stats() against the batch-entry snapshot `before`.
-  void FeedCacheDelta(const EngineCacheStats& before);
+  /// ExecStats counters summed over every member of every run (answered,
+  /// failed or stopped), and the cache's counters after the latest run.
+  struct RunTotals {
+    uint64_t runs = 0;
+    uint64_t chains_object_based = 0;
+    uint64_t chains_query_based = 0;
+    uint64_t objects_evaluated = 0;
+    uint64_t objects_multi_observation = 0;
+    uint64_t clusters_bounded = 0;
+    uint64_t clusters_pruned = 0;
+    uint64_t clusters_refined = 0;
+    uint64_t objects_decided_by_bounds = 0;
+    uint64_t objects_refined = 0;
+    uint64_t objects_decided_early = 0;
+    uint64_t bound_fallbacks = 0;
+    EngineCacheStats cache;
+  };
+
+  /// The registered metrics collector: every series, read as of now.
+  void CollectMetrics(obs::MetricsWriter* out) const;
 
   util::Status ValidateFilter(const QueryRequest& request) const;
 
   /// RunBatch body; the public wrapper adds the fault boundary and the one
-  /// feed of `stats` (one entry per request, filled whatever the member's
-  /// outcome) into results, registry and last_run_stats().
+  /// use of `stats` (one entry per request, filled whatever the member's
+  /// outcome) in results, run totals and last_run_stats().
   std::vector<util::Result<QueryResult>> RunBatchImpl(
       std::span<const QueryRequest> requests, std::vector<ExecStats>* stats);
 
@@ -290,7 +299,17 @@ class QueryExecutor {
   EngineCache cache_;
   util::ThreadPool pool_;
   ExecStats last_stats_;
-  std::unique_ptr<ObsHandles> obs_;  // null when options_.obs.enabled=false
+  /// Shard of executor-side trace spans: the "shard" label, else -1.
+  int32_t trace_shard_ = -1;
+
+  /// Stage durations, observed only with options_.obs.enabled.
+  obs::Histogram stage_plan_;
+  obs::Histogram stage_bound_;
+  obs::Histogram stage_build_;
+  obs::Histogram stage_evaluate_;
+
+  mutable std::mutex totals_mu_;  // guards totals_; updated once per run
+  RunTotals totals_;
 };
 
 }  // namespace core

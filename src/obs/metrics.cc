@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -114,6 +115,17 @@ const char* KindName(MetricKind kind) {
   return "counter";
 }
 
+/// Bucket-wise `*out += part`; an empty `out` is sized to the grid first.
+void AccumulateHistogram(const HistogramData& part, HistogramData* out) {
+  out->buckets.resize(HistogramBucketBounds().size() + 1, 0);
+  for (size_t i = 0; i < part.buckets.size() && i < out->buckets.size();
+       ++i) {
+    out->buckets[i] += part.buckets[i];
+  }
+  out->count += part.count;
+  out->sum += part.sum;
+}
+
 }  // namespace
 
 const std::vector<double>& HistogramBucketBounds() {
@@ -151,14 +163,7 @@ double PercentileFromBuckets(const HistogramData& h, double q) {
 HistogramData MergeHistograms(const std::vector<HistogramData>& parts) {
   HistogramData out;
   out.buckets.assign(HistogramBucketBounds().size() + 1, 0);
-  for (const HistogramData& part : parts) {
-    for (size_t i = 0; i < part.buckets.size() && i < out.buckets.size();
-         ++i) {
-      out.buckets[i] += part.buckets[i];
-    }
-    out.count += part.count;
-    out.sum += part.sum;
-  }
+  for (const HistogramData& part : parts) AccumulateHistogram(part, &out);
   return out;
 }
 
@@ -182,6 +187,17 @@ void Histogram::Observe(double v) {
   }
 }
 
+void Histogram::Merge(const HistogramData& data) {
+  for (size_t i = 0; i < data.buckets.size() && i < buckets_.size(); ++i) {
+    buckets_[i].fetch_add(data.buckets[i], std::memory_order_relaxed);
+  }
+  count_.fetch_add(data.count, std::memory_order_relaxed);
+  double cur = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(cur, cur + data.sum,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
 HistogramData Histogram::Snapshot() const {
   HistogramData out;
   out.buckets.reserve(buckets_.size());
@@ -198,12 +214,68 @@ MetricsRegistry* MetricsRegistry::Global() {
   return instance;
 }
 
+MetricPoint* MetricsWriter::Point(MetricKind kind, const std::string& name,
+                                  const Labels& labels,
+                                  const std::string& help,
+                                  const std::string& unit) {
+  auto [fit, inserted] = families_.try_emplace(name);
+  Family& family = fit->second;
+  if (inserted) {
+    family.kind = kind;
+    family.help = help;
+    family.unit = unit;
+  } else if (family.kind != kind) {
+    return nullptr;  // the family keeps its first kind
+  }
+  auto [pit, fresh] = family.points.try_emplace(labels);
+  if (fresh) pit->second.labels = labels;
+  return &pit->second;
+}
+
+void MetricsWriter::AddCounter(const std::string& name, const Labels& labels,
+                               uint64_t value, const std::string& help,
+                               const std::string& unit) {
+  if (MetricPoint* p = Point(MetricKind::kCounter, name, labels, help, unit)) {
+    p->value += static_cast<double>(value);
+  }
+}
+
+void MetricsWriter::AddCounters(
+    const std::string& name, const Labels& labels, const std::string& key,
+    std::initializer_list<std::pair<const char*, uint64_t>> points,
+    const std::string& help, const std::string& unit) {
+  for (const auto& [value, count] : points) {
+    Labels point_labels = labels;
+    point_labels[key] = value;
+    AddCounter(name, point_labels, count, help, unit);
+  }
+}
+
+void MetricsWriter::AddGauge(const std::string& name, const Labels& labels,
+                             double value, const std::string& help,
+                             const std::string& unit) {
+  if (MetricPoint* p = Point(MetricKind::kGauge, name, labels, help, unit)) {
+    p->value += value;
+  }
+}
+
+void MetricsWriter::AddHistogram(const std::string& name,
+                                 const Labels& labels,
+                                 const HistogramData& data,
+                                 const std::string& help,
+                                 const std::string& unit) {
+  if (MetricPoint* p =
+          Point(MetricKind::kHistogram, name, labels, help, unit)) {
+    AccumulateHistogram(data, &p->histogram);
+  }
+}
+
 template <typename T>
-T* MetricsRegistry::Resolve(std::deque<T>* store, MetricKind kind,
-                            const std::string& name, const Labels& labels,
-                            const std::string& help,
-                            const std::string& unit) {
-  std::lock_guard<std::mutex> lock(mu_);
+T* MetricsRegistry::ResolveLocked(std::deque<T>* store, MetricKind kind,
+                                  const std::string& name,
+                                  const Labels& labels,
+                                  const std::string& help,
+                                  const std::string& unit) {
   auto [fit, inserted] = families_.try_emplace(name);
   Family& family = fit->second;
   if (inserted) {
@@ -225,53 +297,91 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const Labels& labels,
                                      const std::string& help,
                                      const std::string& unit) {
-  return Resolve(&counters_, MetricKind::kCounter, name, labels, help, unit);
+  std::lock_guard<std::mutex> lock(mu_);
+  return ResolveLocked(&counters_, MetricKind::kCounter, name, labels, help,
+                       unit);
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const Labels& labels,
                                  const std::string& help,
                                  const std::string& unit) {
-  return Resolve(&gauges_, MetricKind::kGauge, name, labels, help, unit);
+  std::lock_guard<std::mutex> lock(mu_);
+  return ResolveLocked(&gauges_, MetricKind::kGauge, name, labels, help,
+                       unit);
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const Labels& labels,
                                          const std::string& help,
                                          const std::string& unit) {
-  return Resolve(&histograms_, MetricKind::kHistogram, name, labels, help,
-                 unit);
+  std::lock_guard<std::mutex> lock(mu_);
+  return ResolveLocked(&histograms_, MetricKind::kHistogram, name, labels,
+                       help, unit);
+}
+
+void MetricsRegistry::AddCollector(const void* owner, Collector collect) {
+  std::lock_guard<std::mutex> lock(mu_);
+  collectors_.push_back({owner, std::move(collect)});
+}
+
+void MetricsRegistry::RemoveCollector(const void* owner) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = std::find_if(
+      collectors_.begin(), collectors_.end(),
+      [owner](const CollectorEntry& entry) { return entry.owner == owner; });
+  if (it == collectors_.end()) return;
+  MetricsWriter last;
+  it->collect(&last);
+  collectors_.erase(it);
+  for (const auto& [name, family] : last.families_) {
+    for (const auto& [labels, point] : family.points) {
+      if (family.kind == MetricKind::kCounter) {
+        ResolveLocked(&counters_, family.kind, name, labels, family.help,
+                      family.unit)
+            ->Add(static_cast<uint64_t>(point.value));
+      } else if (family.kind == MetricKind::kHistogram) {
+        ResolveLocked(&histograms_, family.kind, name, labels, family.help,
+                      family.unit)
+            ->Merge(point.histogram);
+      }
+    }
+  }
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot out;
   out.meta = CommonMeta();
-  std::lock_guard<std::mutex> lock(mu_);
-  out.families.reserve(families_.size());
-  for (const auto& [name, family] : families_) {
-    MetricFamily f;
-    f.name = name;
-    f.help = family.help;
-    f.unit = family.unit;
-    f.kind = family.kind;
-    f.points.reserve(family.points.size());
-    for (const auto& [labels, index] : family.points) {
-      MetricPoint p;
-      p.labels = labels;
-      switch (family.kind) {
-        case MetricKind::kCounter:
-          p.value = static_cast<double>(counters_[index].Value());
-          break;
-        case MetricKind::kGauge:
-          p.value = gauges_[index].Value();
-          break;
-        case MetricKind::kHistogram:
-          p.histogram = histograms_[index].Snapshot();
-          break;
+  MetricsWriter all;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Registry-owned series first: on a kind conflict they keep theirs.
+    for (const auto& [name, family] : families_) {
+      for (const auto& [labels, index] : family.points) {
+        switch (family.kind) {
+          case MetricKind::kCounter:
+            all.AddCounter(name, labels, counters_[index].Value(),
+                           family.help, family.unit);
+            break;
+          case MetricKind::kGauge:
+            all.AddGauge(name, labels, gauges_[index].Value(), family.help,
+                         family.unit);
+            break;
+          case MetricKind::kHistogram:
+            all.AddHistogram(name, labels, histograms_[index].Snapshot(),
+                             family.help, family.unit);
+            break;
+        }
       }
-      f.points.push_back(std::move(p));
     }
-    out.families.push_back(std::move(f));
+    for (const CollectorEntry& entry : collectors_) entry.collect(&all);
+  }
+  for (auto& [name, family] : all.families_) {
+    out.families.push_back({name, std::move(family.help),
+                            std::move(family.unit), family.kind, {}});
+    for (auto& [labels, point] : family.points) {
+      out.families.back().points.push_back(std::move(point));
+    }
   }
   return out;
 }

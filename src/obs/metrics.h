@@ -3,25 +3,25 @@
 // obs::MetricsRegistry — process-wide named counters, gauges, and
 // log-bucketed histograms with labels, built for serving hot paths:
 //
-//   * Handle resolution (GetCounter/GetGauge/GetHistogram) is the only
-//     operation that takes the registry lock; call sites resolve their
-//     handles once (constructor, function-local static) and then update
-//     through them lock-free.
+//   * Owners that already keep their counters (QueryService's
+//     ServiceStats, QueryExecutor's run totals) register a collector
+//     that writes them at Snapshot() time: one store per counter, and no
+//     registry update per event.
+//   * Sites with no store of their own (SpMV kernel dispatch, the fault
+//     injector) resolve a registry-owned handle once
+//     (GetCounter/GetGauge/GetHistogram) and update it lock-free.
 //   * Counter::Add is a relaxed fetch_add on one of several cache-line-
-//     aligned stripes selected per thread, so concurrent writers — the
-//     per-shard dispatcher threads, the executor pool workers, the SpMV
-//     kernel dispatch site — never contend on one line.
-//   * Histogram::Observe is a relaxed fetch_add on a log2 bucket; no
-//     lock, no allocation, no floating-point accumulation race (the sum
-//     is a CAS loop on an atomic double).
+//     aligned stripes selected per thread, so concurrent writers never
+//     contend on one line; Histogram::Observe is a relaxed fetch_add on a
+//     log2 bucket (the sum is a CAS loop on an atomic double).
 //
 // Snapshot consistency model: Snapshot() reads every atomic individually
 // with relaxed ordering. Each read value is itself never torn, and every
 // counter is monotone, but values read across metrics (or across stripes
-// of one counter) need not correspond to a single instant — a snapshot
-// taken during a burst can show a histogram count slightly ahead of a
-// related counter. This is the standard contract of scrape-based metrics
-// and is documented once here instead of per call site.
+// of one counter) need not correspond to a single instant. A collector's
+// points are as consistent as its owner's store. This is the standard
+// contract of scrape-based metrics and is documented once here instead
+// of per call site.
 //
 // The exporters (WriteJson, WritePrometheusText) render one snapshot;
 // benches attach the same CommonMeta() block to their Recorder output so
@@ -36,10 +36,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace ustdb {
@@ -162,6 +164,9 @@ class Histogram {
 
   void Observe(double v);
 
+  /// Adds `data`'s observations as if each had been observed here.
+  void Merge(const HistogramData& data);
+
   /// Relaxed read of all buckets; see the snapshot consistency model.
   HistogramData Snapshot() const;
 
@@ -198,18 +203,60 @@ struct MetricsSnapshot {
   std::vector<MetricFamily> families;
 };
 
+/// \brief Receives a collector's points (see MetricsRegistry::AddCollector).
+/// Points with equal name and labels from any source are summed
+/// (histograms bucket-wise); a point whose kind differs from its family's
+/// first kind is dropped, like a kind-mismatched Get*.
+class MetricsWriter {
+ public:
+  void AddCounter(const std::string& name, const Labels& labels,
+                  uint64_t value, const std::string& help = "",
+                  const std::string& unit = "");
+  /// AddCounter of each (value, count) entry as `labels` + {key: value}.
+  void AddCounters(
+      const std::string& name, const Labels& labels, const std::string& key,
+      std::initializer_list<std::pair<const char*, uint64_t>> points,
+      const std::string& help = "", const std::string& unit = "");
+  void AddGauge(const std::string& name, const Labels& labels, double value,
+                const std::string& help = "", const std::string& unit = "");
+  void AddHistogram(const std::string& name, const Labels& labels,
+                    const HistogramData& data, const std::string& help = "",
+                    const std::string& unit = "");
+
+ private:
+  friend class MetricsRegistry;
+
+  struct Family {
+    MetricKind kind = MetricKind::kCounter;
+    std::string help;
+    std::string unit;
+    std::map<Labels, MetricPoint> points;
+  };
+
+  /// Point `labels` of family `name`, created on first use; null when the
+  /// family already holds another kind.
+  MetricPoint* Point(MetricKind kind, const std::string& name,
+                     const Labels& labels, const std::string& help,
+                     const std::string& unit);
+
+  std::map<std::string, Family> families_;
+};
+
+/// Writes an owner's current metric points; see AddCollector.
+using Collector = std::function<void(MetricsWriter*)>;
+
 /// \brief Process-wide metric registry. Get* resolves (or registers) a
-/// metric and returns a handle that stays valid for the registry's
-/// lifetime; only resolution locks. Asking for an existing name with a
-/// different kind returns a detached sink metric (updates are absorbed,
-/// nothing is exported) so instrumentation sites never need a null check.
+/// registry-owned metric and returns a handle that stays valid for the
+/// registry's lifetime. Asking for an existing name with a different kind
+/// returns a detached sink metric (updates are absorbed, nothing is
+/// exported) so instrumentation sites never need a null check.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The default registry every subsystem feeds unless an ObsOptions
+  /// The default registry every subsystem reports to unless an ObsOptions
   /// points elsewhere (tests isolate by constructing their own).
   static MetricsRegistry* Global();
 
@@ -222,8 +269,22 @@ class MetricsRegistry {
                           const std::string& help = "",
                           const std::string& unit = "");
 
-  /// Reads every registered metric; families and points come out in
-  /// deterministic (name, label) order. meta is filled with CommonMeta().
+  /// \brief Makes every Snapshot() read `owner`'s points through
+  /// `collect`, which runs under the registry's lock and may take the
+  /// owner's locks: no code may call a registry method holding one.
+  /// \param owner key for RemoveCollector; must stay valid until then.
+  /// \param collect writes the owner's current points.
+  void AddCollector(const void* owner, Collector collect);
+
+  /// \brief Reads `owner`'s collector one last time and unregisters it:
+  /// its counters and histograms fold into registry-owned series, so
+  /// exported totals survive the owner; its gauges are dropped. No-op
+  /// for an unknown owner.
+  void RemoveCollector(const void* owner);
+
+  /// Reads the registry-owned series, then the collectors in the order
+  /// added; families and points come out in deterministic (name, label)
+  /// order. meta is filled with CommonMeta().
   MetricsSnapshot Snapshot() const;
 
  private:
@@ -234,16 +295,22 @@ class MetricsRegistry {
     std::map<Labels, size_t> points;  // label set -> index into kind deque
   };
 
+  struct CollectorEntry {
+    const void* owner;
+    Collector collect;
+  };
+
   template <typename T>
-  T* Resolve(std::deque<T>* store, MetricKind kind, const std::string& name,
-             const Labels& labels, const std::string& help,
-             const std::string& unit);
+  T* ResolveLocked(std::deque<T>* store, MetricKind kind,
+                   const std::string& name, const Labels& labels,
+                   const std::string& help, const std::string& unit);
 
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;
   std::deque<Counter> counters_;      // deque: stable addresses
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
+  std::vector<CollectorEntry> collectors_;
 };
 
 /// \brief The shared run/process annotations every exporter and bench
@@ -292,14 +359,15 @@ class PeriodicLogger {
 };
 
 /// \brief Observability wiring carried by ServiceOptions/ExecutorOptions.
-/// With enabled == false no registry handle is resolved, no extra clock
-/// is read, and no trace is sampled — the overhead contract's "off" side.
+/// With enabled == false no collector is registered, no extra clock is
+/// read, and no trace is sampled — the overhead contract's "off" side.
 struct ObsOptions {
-  /// Registry to feed; nullptr means MetricsRegistry::Global().
+  /// Registry that collects the holder's metrics; nullptr means
+  /// MetricsRegistry::Global(). Must outlive the holder.
   MetricsRegistry* registry = nullptr;
   /// Master switch for aggregate metrics AND trace sampling.
   bool enabled = true;
-  /// Extra labels merged into every metric the holder registers (the
+  /// Extra labels merged into every metric the holder exports (the
   /// service stamps {"shard": "<s>"} on each shard executor's options).
   Labels labels;
   /// Sample a full QueryTrace on every Nth submission (service only);

@@ -223,7 +223,7 @@ struct QueryService::ShardTask {
 
 /// Everything one shard owns: its executor (cache + worker slice), its
 /// two-lane queue (guarded by the service-wide queue_mu_), its dispatcher
-/// thread, and its telemetry (guarded by stats_mu_).
+/// thread, and its telemetry.
 struct QueryService::ShardLane {
   core::QueryExecutor executor;  // dispatcher thread only
   std::condition_variable work_cv;
@@ -250,183 +250,25 @@ struct QueryService::ShardLane {
   };
   std::vector<RetryEntry> retries;
 
-  core::EngineCacheStats cache_snapshot;
+  /// The only store of this shard's dispatch and health counters (summed
+  /// into ServiceStats); guarded by stats_mu_ like the latency reservoir.
+  uint64_t solo_dispatches = 0;
+  uint64_t coalesced_batches = 0;
+  uint64_t coalesced_requests = 0;
+  uint64_t quarantines = 0;
+  uint64_t probes = 0;
+  uint64_t watchdog_trips = 0;
   std::vector<double> latencies_ms;  // bounded reservoir, ring-indexed
   size_t latency_next = 0;
+
+  /// Lock-free; observed only with ObsOptions::enabled.
+  obs::Histogram queue_wait;  ///< submit -> dequeued by the dispatcher
+  obs::Histogram dispatch;    ///< dequeue -> executor run returned
+  obs::Histogram latency;     ///< submit -> resolve, OK outcomes only
 
   ShardLane(const core::Database* db, core::ExecutorOptions options,
             const HealthPolicy& policy)
       : executor(db, options), health(policy) {}
-};
-
-/// Registry handles the service feeds, resolved once at construction so
-/// the hot path is one striped relaxed add (counters), one lock-free
-/// bucket add (histograms), or one relaxed store (the depth gauge) per
-/// event. Absent entirely (obs_ == nullptr) when ObsOptions::enabled is
-/// false. Outcome counters live in one "ustdb_service_requests_total"
-/// family labeled by outcome; per-shard series carry a "shard" label
-/// matching the shard executors' own metrics.
-struct QueryService::ObsHandles {
-  obs::Counter* submitted;
-  /// Indexed by the Resolve() classification: ok, cancelled, deadline,
-  /// rejected, failed, partial.
-  obs::Counter* outcomes[6];
-  obs::Counter* traces_sampled;
-  obs::Counter* scatter_requests;
-  obs::Counter* scatter_subtasks;
-  obs::Gauge* queue_depth;
-  /// Resilience families. Shed counters are labeled by shed_reason;
-  /// retries/degraded are service-wide, health/quarantine/probe/watchdog
-  /// series carry the shard label.
-  obs::Counter* shed_bulk;
-  obs::Counter* shed_interactive;
-  obs::Counter* retries;
-  obs::Counter* degraded;
-  /// Continuous-query families: one ingest counter pair (applied /
-  /// rejected), an ingest latency histogram, and the subscription
-  /// lifecycle counters + active gauge.
-  obs::Counter* ingest_applied;
-  obs::Counter* ingest_rejected;
-  obs::Histogram* ingest_latency;
-  obs::Counter* subscription_refreshes;
-  obs::Counter* subscription_deltas;
-  obs::Gauge* subscriptions_active;
-
-  struct Shard {
-    obs::Histogram* queue_wait;  ///< submit -> dequeued by the dispatcher
-    obs::Histogram* dispatch;    ///< dequeue -> executor run returned
-    obs::Histogram* latency;     ///< submit -> resolve, OK outcomes only
-    obs::Counter* solo;
-    obs::Counter* coalesced_batches;
-    obs::Counter* coalesced_requests;
-    obs::Gauge* health;  ///< ShardHealth as 0/1/2 (see health_state docs)
-    obs::Counter* quarantines;
-    obs::Counter* probes;
-    obs::Counter* watchdog_trips;
-  };
-  std::vector<Shard> shards;
-
-  ObsHandles(const obs::ObsOptions& opts, size_t num_shards) {
-    obs::MetricsRegistry* reg = opts.ResolvedRegistry();
-    const obs::Labels& base = opts.labels;
-    const auto with = [&base](const std::string& key,
-                              const std::string& value) {
-      obs::Labels labels = base;
-      labels[key] = value;
-      return labels;
-    };
-    const auto outcome_counter = [&](const char* outcome) {
-      return reg->GetCounter("ustdb_service_requests_total",
-                             with("outcome", outcome),
-                             "Tickets resolved, by outcome", "requests");
-    };
-    submitted = reg->GetCounter("ustdb_service_submitted_total", base,
-                                "Tickets handed out by Submit/SubmitBurst",
-                                "requests");
-    outcomes[0] = outcome_counter("ok");
-    outcomes[1] = outcome_counter("cancelled");
-    outcomes[2] = outcome_counter("deadline");
-    outcomes[3] = outcome_counter("rejected");
-    outcomes[4] = outcome_counter("failed");
-    outcomes[5] = outcome_counter("partial");
-    const auto shed_counter = [&](const char* reason) {
-      return reg->GetCounter("ustdb_service_shed_total",
-                             with("shed_reason", reason),
-                             "Submissions shed by admission control",
-                             "requests");
-    };
-    shed_bulk = shed_counter("bulk_overload");
-    shed_interactive = shed_counter("interactive_overload");
-    retries = reg->GetCounter("ustdb_service_retries_total", base,
-                              "Sub-request retry attempts scheduled",
-                              "retries");
-    degraded = reg->GetCounter(
-        "ustdb_service_degraded_total", base,
-        "Requests answered from interval bounds alone", "requests");
-    traces_sampled = reg->GetCounter(
-        "ustdb_service_traces_sampled_total", base,
-        "Submissions that got a rate-sampled QueryTrace attached",
-        "requests");
-    const auto ingest_counter = [&](const char* outcome) {
-      return reg->GetCounter("ustdb_ingest_total", with("outcome", outcome),
-                             "Observations ingested, by outcome",
-                             "observations");
-    };
-    ingest_applied = ingest_counter("applied");
-    ingest_rejected = ingest_counter("rejected");
-    ingest_latency = reg->GetHistogram(
-        "ustdb_ingest_seconds", base,
-        "Apply + invalidation-bookkeeping time of each append", "seconds");
-    subscription_refreshes = reg->GetCounter(
-        "ustdb_subscription_refreshes_total", base,
-        "Refresh rounds that ran >= 1 standing query", "rounds");
-    subscription_deltas = reg->GetCounter(
-        "ustdb_subscription_deltas_total", base,
-        "Answer-set deltas delivered to subscription callbacks", "deltas");
-    subscriptions_active = reg->GetGauge(
-        "ustdb_subscriptions_active", base,
-        "Registered, not-yet-cancelled standing queries", "subscriptions");
-    scatter_requests = reg->GetCounter(
-        "ustdb_service_scatter_requests_total", base,
-        "Requests the router scattered across >= 2 shard lanes",
-        "requests");
-    scatter_subtasks = reg->GetCounter(
-        "ustdb_service_scatter_subtasks_total", base,
-        "Per-shard sub-requests enqueued by scattered requests",
-        "requests");
-    queue_depth =
-        reg->GetGauge("ustdb_service_queue_depth", base,
-                      "Queued entries across all lanes and shards",
-                      "requests");
-    shards.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      obs::Labels labels = with("shard", std::to_string(s));
-      const auto shard_with = [&labels](const std::string& key,
-                                        const std::string& value) {
-        obs::Labels merged = labels;
-        merged[key] = value;
-        return merged;
-      };
-      shards[s].queue_wait = reg->GetHistogram(
-          "ustdb_service_queue_wait_seconds", labels,
-          "Submit-to-dequeue wait of each dispatched entry", "seconds");
-      shards[s].dispatch = reg->GetHistogram(
-          "ustdb_service_dispatch_seconds", labels,
-          "Dequeue-to-run-returned time of each dispatch", "seconds");
-      shards[s].latency = reg->GetHistogram(
-          "ustdb_service_request_latency_seconds", labels,
-          "End-to-end latency of OK requests (matches the reservoir "
-          "percentiles' population)",
-          "seconds");
-      shards[s].solo =
-          reg->GetCounter("ustdb_service_dispatches_total",
-                          shard_with("kind", "solo"),
-                          "Dispatches, by single-entry vs coalesced drain",
-                          "dispatches");
-      shards[s].coalesced_batches =
-          reg->GetCounter("ustdb_service_dispatches_total",
-                          shard_with("kind", "coalesced"),
-                          "Dispatches, by single-entry vs coalesced drain",
-                          "dispatches");
-      shards[s].coalesced_requests = reg->GetCounter(
-          "ustdb_service_coalesced_requests_total", labels,
-          "Queued entries carried by coalesced dispatches", "requests");
-      shards[s].health = reg->GetGauge(
-          "ustdb_service_shard_health", labels,
-          "Shard health state: 0=healthy, 1=degraded, 2=quarantined",
-          "state");
-      shards[s].quarantines = reg->GetCounter(
-          "ustdb_service_quarantines_total", labels,
-          "Transitions into kQuarantined (failures + watchdog trips)",
-          "transitions");
-      shards[s].probes = reg->GetCounter(
-          "ustdb_service_probes_total", labels,
-          "Probe sub-requests admitted to a quarantined shard", "probes");
-      shards[s].watchdog_trips = reg->GetCounter(
-          "ustdb_service_watchdog_trips_total", labels,
-          "Dispatcher-stall watchdog trips", "trips");
-    }
-  }
 };
 
 namespace {
@@ -537,7 +379,8 @@ QueryService::QueryService(const core::ShardedDatabase* db,
         std::make_unique<ShardLane>(&db->shard(s), exec, options_.health));
   }
   if (options_.obs.enabled) {
-    obs_ = std::make_unique<ObsHandles>(options_.obs, num_shards);
+    options_.obs.ResolvedRegistry()->AddCollector(
+        this, [this](obs::MetricsWriter* out) { CollectMetrics(out); });
   }
   for (uint32_t s = 0; s < num_shards; ++s) {
     shards_[s]->dispatcher = std::thread([this, s] { DispatcherLoop(s); });
@@ -550,7 +393,12 @@ QueryService::QueryService(core::ShardedDatabase* db, ServiceOptions options)
   mutable_sharded_ = db;
 }
 
-QueryService::~QueryService() { Shutdown(); }
+QueryService::~QueryService() {
+  Shutdown();
+  if (options_.obs.enabled) {
+    options_.obs.ResolvedRegistry()->RemoveCollector(this);
+  }
+}
 
 std::shared_ptr<TicketState> QueryService::PrepareState(
     core::QueryRequest request, Priority priority) {
@@ -560,13 +408,12 @@ std::shared_ptr<TicketState> QueryService::PrepareState(
   // Trace attachment: honor a caller-supplied trace always; otherwise
   // sample every Nth submission (epoch = the submission instant just
   // stamped, so span offsets read as time-since-submit).
-  if (request.trace == nullptr && obs_ != nullptr &&
+  if (request.trace == nullptr && options_.obs.enabled &&
       options_.obs.trace_sample_every > 0) {
     const uint64_t seq =
         submit_seq_.fetch_add(1, std::memory_order_relaxed);
     if (seq % options_.obs.trace_sample_every == 0) {
       request.trace = std::make_shared<obs::QueryTrace>(state->submitted_at);
-      obs_->traces_sampled->Add(1);
     }
   }
   // Link the ticket's source beneath any caller-supplied token: both
@@ -578,7 +425,6 @@ std::shared_ptr<TicketState> QueryService::PrepareState(
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.submitted;
   }
-  if (obs_ != nullptr) obs_->submitted->Add(1);
   return state;
 }
 
@@ -736,9 +582,7 @@ util::Status QueryService::TryEnqueueLocked(
     shards_[gather->subs[i].shard]->lanes[lane].push_back(
         ShardTask{gather, i});
   }
-  const size_t depth = QueueDepthLocked();
-  queue_peak_ = std::max(queue_peak_, depth);
-  if (obs_ != nullptr) obs_->queue_depth->Set(static_cast<double>(depth));
+  queue_peak_ = std::max(queue_peak_, QueueDepthLocked());
   return util::Status::OK();
 }
 
@@ -749,17 +593,9 @@ ShardHealth QueryService::shard_health(uint32_t shard) const {
 void QueryService::CheckWatchdogs(Clock::time_point now) {
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s]->health.CheckWatchdog(now)) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.watchdog_trips;
-        ++stats_.quarantines;
-      }
-      if (obs_ != nullptr) {
-        obs_->shards[s].watchdog_trips->Add(1);
-        obs_->shards[s].quarantines->Add(1);
-        obs_->shards[s].health->Set(
-            static_cast<double>(ShardHealth::kQuarantined));
-      }
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++shards_[s]->watchdog_trips;
+      ++shards_[s]->quarantines;
     }
   }
 }
@@ -769,11 +605,7 @@ void QueryService::RecordShardOutcome(uint32_t shard,
                                       bool probe) {
   ShardHealthTracker& tracker = shards_[shard]->health;
   if (status.ok()) {
-    const bool recovered = tracker.RecordSuccess();
-    if (recovered && obs_ != nullptr) {
-      obs_->shards[shard].health->Set(
-          static_cast<double>(ShardHealth::kHealthy));
-    }
+    tracker.RecordSuccess();
     return;
   }
   const util::StatusCode code = status.code();
@@ -783,14 +615,8 @@ void QueryService::RecordShardOutcome(uint32_t shard,
     const ShardHealth after = tracker.RecordFailure(Clock::now());
     if (after == ShardHealth::kQuarantined &&
         before != ShardHealth::kQuarantined) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.quarantines;
-      }
-      if (obs_ != nullptr) obs_->shards[shard].quarantines->Add(1);
-    }
-    if (after != before && obs_ != nullptr) {
-      obs_->shards[shard].health->Set(static_cast<double>(after));
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++shards_[shard]->quarantines;
     }
     return;
   }
@@ -805,15 +631,12 @@ util::Status QueryService::ApplyHealthGate(
     const std::shared_ptr<GatherState>& gather) {
   const Clock::time_point now = Clock::now();
   size_t live = 0;
-  uint64_t probes = 0;
+  bool any_probe = false;
   std::vector<size_t> dropped;
   for (size_t i = 0; i < gather->subs.size(); ++i) {
     SubRoute& sub = gather->subs[i];
     if (shards_[sub.shard]->health.AdmitToShard(now, &sub.probe)) {
-      if (sub.probe) {
-        ++probes;
-        if (obs_ != nullptr) obs_->shards[sub.shard].probes->Add(1);
-      }
+      any_probe = any_probe || sub.probe;
       ++live;
     } else {
       dropped.push_back(i);
@@ -838,9 +661,11 @@ util::Status QueryService::ApplyHealthGate(
     }
     gather->remaining.store(live, std::memory_order_relaxed);
   }
-  if (probes > 0) {
+  if (any_probe) {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.probes += probes;
+    for (const SubRoute& sub : gather->subs) {
+      if (sub.probe) ++shards_[sub.shard]->probes;
+    }
   }
   return util::Status::OK();
 }
@@ -857,30 +682,16 @@ util::Status QueryService::MaybeShedLocked(const GatherState& gather,
       capacity == 0 ? 0.0
                     : static_cast<double>(QueueDepthLocked()) /
                           static_cast<double>(capacity);
-  // Optional queue-wait p99 signal from the always-on histograms: any
-  // shard's tail past the limit counts as overload for bulk traffic.
-  bool wait_overload = false;
-  if (policy.max_queue_wait_p99.count() > 0 && obs_ != nullptr) {
-    const double limit_s =
-        std::chrono::duration<double>(policy.max_queue_wait_p99).count();
-    for (const ObsHandles::Shard& shard : obs_->shards) {
-      if (shard.queue_wait->Percentile(0.99) > limit_s) {
-        wait_overload = true;
-        break;
-      }
-    }
-  }
   const auto retry_hint = [&policy] {
     return "; retry after " + std::to_string(policy.retry_after.count()) +
            "ms";
   };
   if (priority == Priority::kBulk) {
-    if (fraction >= policy.shed_bulk_at || wait_overload) {
+    if (fraction >= policy.shed_bulk_at) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.shed_bulk;
       }
-      if (obs_ != nullptr) obs_->shed_bulk->Add(1);
       return util::Status::Unavailable(
           "overloaded: bulk submission shed" + retry_hint());
     }
@@ -900,7 +711,6 @@ util::Status QueryService::MaybeShedLocked(const GatherState& gather,
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.shed_interactive;
     }
-    if (obs_ != nullptr) obs_->shed_interactive->Add(1);
     return util::Status::Unavailable(
         "overloaded: interactive submission shed" + retry_hint());
   }
@@ -944,7 +754,6 @@ bool QueryService::MaybeScheduleRetry(
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.retries;
   }
-  if (obs_ != nullptr) obs_->retries->Add(1);
   lane.work_cv.notify_one();
   return true;
 }
@@ -1057,15 +866,9 @@ std::vector<QueryTicket> QueryService::Admit(
     }
   }
   if (scattered > 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.scatter_requests += scattered;
-      stats_.scatter_subtasks += subtasks;
-    }
-    if (obs_ != nullptr) {
-      obs_->scatter_requests->Add(scattered);
-      obs_->scatter_subtasks->Add(subtasks);
-    }
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.scatter_requests += scattered;
+    stats_.scatter_subtasks += subtasks;
   }
   return tickets;
 }
@@ -1107,9 +910,6 @@ void QueryService::DispatcherLoop(uint32_t shard) {
       while (taken.size() < options_.max_batch && !queue.empty()) {
         taken.push_back(std::move(queue.front()));
         queue.pop_front();
-      }
-      if (obs_ != nullptr) {
-        obs_->queue_depth->Set(static_cast<double>(QueueDepthLocked()));
       }
     }
     space_cv_.notify_all();
@@ -1158,13 +958,14 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   if (runnable.empty()) return;
 
   // Queue-wait accounting per runnable entry, reusing the staleness
-  // check's clock read: always-on aggregate histogram, exact kQueue span
-  // for the traced few.
+  // check's clock read: aggregate histogram, exact kQueue span for the
+  // traced few.
+  ShardLane& lane = *shards_[shard];
   bool any_traced = false;
   for (const ShardTask& task : runnable) {
     const TicketState& parent = *task.gather->parent;
-    if (obs_ != nullptr) {
-      obs_->shards[shard].queue_wait->Observe(
+    if (options_.obs.enabled) {
+      lane.queue_wait.Observe(
           std::chrono::duration<double>(now - parent.submitted_at).count());
     }
     if (const auto& trace = parent.request.trace; trace != nullptr) {
@@ -1173,12 +974,11 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
                     static_cast<int32_t>(shard));
     }
   }
-  const bool timing = obs_ != nullptr || any_traced;
+  const bool timing = options_.obs.enabled || any_traced;
 
   // One RunBatch per drain, whether it holds one entry or many. The
   // executor groups members by (effective window, matrix mode) internally,
   // so every same-window subset shares one backward pass per chain.
-  ShardLane& lane = *shards_[shard];
   std::vector<core::QueryRequest> requests;
   requests.reserve(runnable.size());
   for (ShardTask& task : runnable) {
@@ -1203,25 +1003,17 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   lane.health.MarkDispatchEnd();
   const Clock::time_point run_end =
       timing ? Clock::now() : Clock::time_point();
-  const bool coalesced = runnable.size() > 1;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    if (coalesced) {
-      ++stats_.coalesced_batches;
-      stats_.coalesced_requests += runnable.size();
+    if (runnable.size() > 1) {
+      ++lane.coalesced_batches;
+      lane.coalesced_requests += runnable.size();
     } else {
-      ++stats_.solo_dispatches;
+      ++lane.solo_dispatches;
     }
-    lane.cache_snapshot = lane.executor.cache_stats();
   }
-  if (obs_ != nullptr) {
-    if (coalesced) {
-      obs_->shards[shard].coalesced_batches->Add(1);
-      obs_->shards[shard].coalesced_requests->Add(runnable.size());
-    } else {
-      obs_->shards[shard].solo->Add(1);
-    }
-    obs_->shards[shard].dispatch->Observe(
+  if (options_.obs.enabled) {
+    lane.dispatch.Observe(
         std::chrono::duration<double>(run_end - now).count());
   }
   if (any_traced) {
@@ -1413,7 +1205,7 @@ void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
                            uint32_t latency_shard) {
   // First resolution wins. Shutdown can race a shed/retry path to the
   // same ticket (see shutdown_shed_race_test); whoever exchanges the
-  // claim first owns stats, obs, and the outcome slot — the loser leaves
+  // claim first owns stats and the outcome slot — the loser leaves
   // without a trace, so every ticket resolves exactly once.
   if (state->claimed.exchange(true, std::memory_order_acq_rel)) return;
   const double latency_ms =
@@ -1426,31 +1218,20 @@ void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
       !outcome.ok() ? outcome.status().code()
                     : (is_partial ? util::StatusCode::kPartial
                                   : util::StatusCode::kOk);
-  // One classification feeds both counter systems: the ServiceStats field
-  // and the ObsHandles::outcomes index (ok, cancelled, deadline, rejected,
-  // failed, partial).
   uint64_t ServiceStats::*counter = &ServiceStats::failed;
-  int outcome_index = 4;
   switch (code) {
     case util::StatusCode::kOk:
-      counter = &ServiceStats::completed;
-      outcome_index = 0;
-      break;
     case util::StatusCode::kPartial:
       counter = &ServiceStats::completed;
-      outcome_index = 5;
       break;
     case util::StatusCode::kCancelled:
       counter = &ServiceStats::cancelled;
-      outcome_index = 1;
       break;
     case util::StatusCode::kDeadlineExceeded:
       counter = &ServiceStats::deadline_expired;
-      outcome_index = 2;
       break;
     case util::StatusCode::kUnavailable:
       counter = &ServiceStats::rejected;
-      outcome_index = 3;
       break;
     default:
       break;
@@ -1475,7 +1256,7 @@ void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
     }
     // Slow-query ring: every traced request competes on latency; the
     // ring keeps the N slowest with their full span breakdowns.
-    if (obs_ != nullptr && state->request.trace != nullptr &&
+    if (options_.obs.enabled && state->request.trace != nullptr &&
         options_.obs.slow_query_ring > 0) {
       SlowQuery record;
       record.latency_ms = latency_ms;
@@ -1496,12 +1277,8 @@ void QueryService::Resolve(const std::shared_ptr<TicketState>& state,
       }
     }
   }
-  if (obs_ != nullptr) {
-    obs_->outcomes[outcome_index]->Add(1);
-    if (is_degraded) obs_->degraded->Add(1);
-    if (outcome.ok()) {
-      obs_->shards[latency_shard].latency->Observe(latency_ms / 1e3);
-    }
+  if (options_.obs.enabled && outcome.ok()) {
+    shards_[latency_shard]->latency.Observe(latency_ms / 1e3);
   }
   {
     std::lock_guard<std::mutex> lock(state->mu);
@@ -1529,7 +1306,7 @@ util::Result<DataVersion> QueryService::AppendObservation(
       return util::Status::Unavailable("query service is shut down");
     }
   }
-  const bool timing = obs_ != nullptr || trace != nullptr;
+  const bool timing = options_.obs.enabled || trace != nullptr;
   const Clock::time_point t0 = timing ? Clock::now() : Clock::time_point();
   const auto finish = [&](util::Result<DataVersion> outcome) {
     const Clock::time_point t1 = timing ? Clock::now() : Clock::time_point();
@@ -1539,16 +1316,10 @@ util::Result<DataVersion> QueryService::AppendObservation(
     }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      if (outcome.ok()) {
-        ++stats_.ingested;
-      } else {
-        ++stats_.ingest_rejected;
-      }
+      ++(outcome.ok() ? stats_.ingested : stats_.ingest_rejected);
     }
-    if (obs_ != nullptr) {
-      (outcome.ok() ? obs_->ingest_applied : obs_->ingest_rejected)->Add(1);
-      obs_->ingest_latency->Observe(
-          std::chrono::duration<double>(t1 - t0).count());
+    if (options_.obs.enabled) {
+      ingest_latency_.Observe(std::chrono::duration<double>(t1 - t0).count());
     }
     return outcome;
   };
@@ -1616,17 +1387,10 @@ util::Result<Subscription> QueryService::Subscribe(
   state->request = std::move(request);
   state->policy = policy;
   state->callback = std::move(callback);
-  size_t active = 0;
   {
     std::lock_guard<std::mutex> lock(subs_mu_);
     state->id = next_subscription_id_++;
     subscriptions_.push_back(state);
-    for (const std::shared_ptr<SubscriptionState>& sub : subscriptions_) {
-      if (!sub->cancelled.load(std::memory_order_acquire)) ++active;
-    }
-  }
-  if (obs_ != nullptr) {
-    obs_->subscriptions_active->Set(static_cast<double>(active));
   }
   return Subscription(std::move(state));
 }
@@ -1696,7 +1460,6 @@ size_t QueryService::RefreshSubscriptions() {
   std::lock_guard<std::mutex> round_lock(refresh_mu_);
   std::vector<std::shared_ptr<SubscriptionState>> round;
   std::vector<core::QueryRequest> requests;
-  size_t active = 0;
   {
     std::lock_guard<std::mutex> lock(subs_mu_);
     // Sweep cancelled subscriptions out of the registry while here.
@@ -1704,16 +1467,12 @@ size_t QueryService::RefreshSubscriptions() {
                   [](const std::shared_ptr<SubscriptionState>& sub) {
                     return sub->cancelled.load(std::memory_order_acquire);
                   });
-    active = subscriptions_.size();
     for (const std::shared_ptr<SubscriptionState>& sub : subscriptions_) {
       if (!sub->dirty) continue;
       sub->dirty = false;
       round.push_back(sub);
       requests.push_back(sub->request);  // window snapshot
     }
-  }
-  if (obs_ != nullptr) {
-    obs_->subscriptions_active->Set(static_cast<double>(active));
   }
   if (round.empty()) return 0;
 
@@ -1726,7 +1485,6 @@ size_t QueryService::RefreshSubscriptions() {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.subscription_refreshes;
   }
-  if (obs_ != nullptr) obs_->subscription_refreshes->Add(1);
 
   size_t delivered = 0;
   for (size_t i = 0; i < round.size(); ++i) {
@@ -1758,9 +1516,6 @@ size_t QueryService::RefreshSubscriptions() {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.subscription_deltas += delivered;
-  }
-  if (obs_ != nullptr && delivered > 0) {
-    obs_->subscription_deltas->Add(delivered);
   }
   return delivered;
 }
@@ -1828,19 +1583,24 @@ ServiceStats QueryService::stats() const {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     out = stats_;
-    core::EngineCacheStats cache;
     for (const std::unique_ptr<ShardLane>& lane : shards_) {
-      cache.hits += lane->cache_snapshot.hits;
-      cache.misses += lane->cache_snapshot.misses;
-      cache.evictions += lane->cache_snapshot.evictions;
-      cache.bound_hits += lane->cache_snapshot.bound_hits;
-      cache.bound_misses += lane->cache_snapshot.bound_misses;
-      cache.bound_evictions += lane->cache_snapshot.bound_evictions;
-      cache.invalidations += lane->cache_snapshot.invalidations;
-      cache.shift_extends += lane->cache_snapshot.shift_extends;
+      out.solo_dispatches += lane->solo_dispatches;
+      out.coalesced_batches += lane->coalesced_batches;
+      out.coalesced_requests += lane->coalesced_requests;
+      out.quarantines += lane->quarantines;
+      out.probes += lane->probes;
+      out.watchdog_trips += lane->watchdog_trips;
       reservoirs.push_back(lane->latencies_ms);
+      const core::EngineCacheStats cache = lane->executor.cache_stats();
+      out.cache.hits += cache.hits;
+      out.cache.misses += cache.misses;
+      out.cache.evictions += cache.evictions;
+      out.cache.bound_hits += cache.bound_hits;
+      out.cache.bound_misses += cache.bound_misses;
+      out.cache.bound_evictions += cache.bound_evictions;
+      out.cache.invalidations += cache.invalidations;
+      out.cache.shift_extends += cache.shift_extends;
     }
-    out.cache = cache;
   }
   out.subscriptions_active = num_subscriptions();
   const internal::LatencyPercentiles percentiles =
@@ -1850,6 +1610,110 @@ ServiceStats QueryService::stats() const {
   out.queue_depth = depth;
   out.queue_peak = peak;
   return out;
+}
+
+void QueryService::CollectMetrics(obs::MetricsWriter* out) const {
+  const obs::Labels& base = options_.obs.labels;
+  // Gauges read the state they describe, exact at the snapshot instant.
+  out->AddGauge("ustdb_service_queue_depth", base,
+                static_cast<double>(queue_depth()),
+                "Queued entries across all lanes and shards", "requests");
+  out->AddGauge("ustdb_subscriptions_active", base,
+                static_cast<double>(num_subscriptions()),
+                "Registered, not-yet-cancelled standing queries",
+                "subscriptions");
+  // PrepareState samples submission seq when seq % every == 0.
+  const uint64_t every = options_.obs.trace_sample_every;
+  const uint64_t seq = submit_seq_.load(std::memory_order_relaxed);
+  out->AddCounter("ustdb_service_traces_sampled_total", base,
+                  every == 0 ? 0 : (seq + every - 1) / every,
+                  "Submissions that got a rate-sampled QueryTrace attached",
+                  "requests");
+  out->AddHistogram("ustdb_ingest_seconds", base, ingest_latency_.Snapshot(),
+                    "Apply + invalidation-bookkeeping time of each append",
+                    "seconds");
+
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  const ServiceStats& st = stats_;
+  out->AddCounter("ustdb_service_submitted_total", base, st.submitted,
+                  "Tickets handed out by Submit/SubmitBurst", "requests");
+  out->AddCounters("ustdb_service_requests_total", base, "outcome",
+                   {{"ok", st.completed - st.partial},
+                    {"cancelled", st.cancelled},
+                    {"deadline", st.deadline_expired},
+                    {"rejected", st.rejected},
+                    {"failed", st.failed},
+                    {"partial", st.partial}},
+                   "Tickets resolved, by outcome", "requests");
+  out->AddCounters("ustdb_service_shed_total", base, "shed_reason",
+                   {{"bulk_overload", st.shed_bulk},
+                    {"interactive_overload", st.shed_interactive}},
+                   "Submissions shed by admission control", "requests");
+  out->AddCounter("ustdb_service_retries_total", base, st.retries,
+                  "Sub-request retry attempts scheduled", "retries");
+  out->AddCounter("ustdb_service_degraded_total", base, st.degraded,
+                  "Requests answered from interval bounds alone",
+                  "requests");
+  out->AddCounters("ustdb_ingest_total", base, "outcome",
+                   {{"applied", st.ingested}, {"rejected", st.ingest_rejected}},
+                   "Observations ingested, by outcome", "observations");
+  out->AddCounter("ustdb_subscription_refreshes_total", base,
+                  st.subscription_refreshes,
+                  "Refresh rounds that ran >= 1 standing query", "rounds");
+  out->AddCounter("ustdb_subscription_deltas_total", base,
+                  st.subscription_deltas,
+                  "Answer-set deltas delivered to subscription callbacks",
+                  "deltas");
+  out->AddCounter("ustdb_service_scatter_requests_total", base,
+                  st.scatter_requests,
+                  "Requests the router scattered across >= 2 shard lanes",
+                  "requests");
+  out->AddCounter("ustdb_service_scatter_subtasks_total", base,
+                  st.scatter_subtasks,
+                  "Per-shard sub-requests enqueued by scattered requests",
+                  "requests");
+
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const ShardLane& lane = *shards_[s];
+    obs::Labels labels = base;
+    labels["shard"] = std::to_string(s);
+    out->AddHistogram("ustdb_service_queue_wait_seconds", labels,
+                      lane.queue_wait.Snapshot(),
+                      "Submit-to-dequeue wait of each dispatched entry",
+                      "seconds");
+    out->AddHistogram("ustdb_service_dispatch_seconds", labels,
+                      lane.dispatch.Snapshot(),
+                      "Dequeue-to-run-returned time of each dispatch",
+                      "seconds");
+    out->AddHistogram("ustdb_service_request_latency_seconds", labels,
+                      lane.latency.Snapshot(),
+                      "End-to-end latency of OK requests (matches the "
+                      "reservoir percentiles' population)",
+                      "seconds");
+    out->AddCounters("ustdb_service_dispatches_total", labels, "kind",
+                     {{"solo", lane.solo_dispatches},
+                      {"coalesced", lane.coalesced_batches}},
+                     "Dispatches, by single-entry vs coalesced drain",
+                     "dispatches");
+    out->AddCounter("ustdb_service_coalesced_requests_total", labels,
+                    lane.coalesced_requests,
+                    "Queued entries carried by coalesced dispatches",
+                    "requests");
+    out->AddGauge("ustdb_service_shard_health", labels,
+                  static_cast<double>(lane.health.health()),
+                  "Shard health state: 0=healthy, 1=degraded, 2=quarantined",
+                  "state");
+    out->AddCounter(
+        "ustdb_service_quarantines_total", labels, lane.quarantines,
+        "Transitions into kQuarantined (failures + watchdog trips)",
+        "transitions");
+    out->AddCounter("ustdb_service_probes_total", labels, lane.probes,
+                    "Probe sub-requests admitted to a quarantined shard",
+                    "probes");
+    out->AddCounter("ustdb_service_watchdog_trips_total", labels,
+                    lane.watchdog_trips, "Dispatcher-stall watchdog trips",
+                    "trips");
+  }
 }
 
 }  // namespace service

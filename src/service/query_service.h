@@ -99,14 +99,14 @@ struct ServiceOptions {
   /// hardware context) and divided evenly across the shard executors, at
   /// least one worker each.
   core::ExecutorOptions executor;
-  /// Observability knobs: which MetricsRegistry the service (and, with a
-  /// {"shard": "<s>"} label stamped on, each shard executor) feeds, the
-  /// QueryTrace sampling rate, and the slow-query ring capacity. With
-  /// enabled=false the service resolves no metric handles, reads no extra
-  /// clocks, samples no traces, and keeps no slow-query ring — the
-  /// overhead contract bench_service_throughput --tracing gates. This
-  /// field overrides whatever `executor.obs` carries, so the shard label
-  /// is always stamped consistently.
+  /// Observability knobs: which MetricsRegistry collects the service's
+  /// metrics (and, with a {"shard": "<s>"} label stamped on, each shard
+  /// executor's), the QueryTrace sampling rate, and the slow-query ring
+  /// capacity. With enabled=false the service registers no collector,
+  /// reads no extra clocks, samples no traces, and keeps no slow-query
+  /// ring — the overhead contract bench_service_throughput --tracing
+  /// gates. This field overrides whatever `executor.obs` carries, so the
+  /// shard label is always stamped consistently.
   obs::ObsOptions obs;
   /// Health state machine thresholds for the per-shard trackers (failure
   /// counts, probe backoff, dispatcher watchdog). See docs/RESILIENCE.md.
@@ -136,9 +136,8 @@ struct ServiceOptions {
 /// latency aggregates come from the same locked read. queue_depth and
 /// queue_peak are sampled under the separate queue mutex an instant
 /// apart, so they can lag the counters by in-flight requests but are
-/// never torn. The obs::MetricsRegistry fed from the same increment
-/// sites is looser: per-metric reads are atomic (never torn) but carry
-/// no cross-metric instant, see obs/metrics.h.
+/// never torn. These counters have no other store: the metrics registry
+/// reads them at snapshot time (see obs/metrics.h).
 struct ServiceStats {
   uint64_t submitted = 0;         ///< tickets handed out
   uint64_t completed = 0;         ///< resolved OK
@@ -209,7 +208,7 @@ struct ServiceStats {
   double latency_p99_ms = 0.0;  ///< tail completed-request latency
   /// Engine-cache counters summed over every shard executor (hits,
   /// misses, evictions, stale-epoch invalidations, shift-extension
-  /// reuses), snapshotted after each shard's most recent dispatch.
+  /// reuses), as of each executor's most recent run (cache_stats()).
   core::EngineCacheStats cache;
 };
 
@@ -522,7 +521,6 @@ class QueryService {
  private:
   struct ShardTask;  // one queued sub-request (gather handle + index)
   struct ShardLane;  // executor + two-lane queue + dispatcher of a shard
-  struct ObsHandles;  // resolved registry handles (service + per shard)
 
   /// The admission path behind Submit (one request, `allow_block`) and
   /// SubmitBurst (never blocks): prepares a ticket per request, then
@@ -575,9 +573,9 @@ class QueryService {
 
   /// Admission control. Returns non-OK (with a retry-after hint in the
   /// message) when `priority` traffic must be shed under the current
-  /// queue depth / queue-wait p99; may instead downgrade a willing
-  /// (degrade == kUnderPressure) threshold request to a bounds-only
-  /// answer, setting `*degrade_instead`. Called under queue_mu_.
+  /// queue depth; may instead downgrade a willing (degrade ==
+  /// kUnderPressure) threshold request to a bounds-only answer, setting
+  /// `*degrade_instead`. Called under queue_mu_.
   util::Status MaybeShedLocked(const internal::GatherState& gather,
                                Priority priority, bool* degrade_instead);
   /// Drops sub-routes targeting quarantined shards (recording their
@@ -594,9 +592,8 @@ class QueryService {
       const std::shared_ptr<internal::GatherState>& gather, size_t sub_index,
       const util::Result<core::QueryResult>& outcome, uint32_t shard);
   /// Feeds a sub outcome into shard `shard`'s health tracker, counting
-  /// transitions (quarantines, recoveries) into stats and metrics. A
-  /// caller-attributable outcome releases the probe slot only when `probe`
-  /// (the sub holds it).
+  /// quarantines. A caller-attributable outcome releases the probe slot
+  /// only when `probe` (the sub holds it).
   void RecordShardOutcome(uint32_t shard, const util::Status& status,
                           bool probe);
   /// Watchdog sweep over every shard from a submitting thread.
@@ -613,6 +610,8 @@ class QueryService {
   /// refresh round.
   SubscriptionDelta BuildDelta(internal::SubscriptionState& sub,
                                const core::QueryResult& result);
+  /// The registered metrics collector: every series, read as of now.
+  void CollectMetrics(obs::MetricsWriter* out) const;
 
   const core::ShardedDatabase* sharded_ = nullptr;
   /// Ingest-capable alias of sharded_; null when constructed over a const
@@ -630,10 +629,10 @@ class QueryService {
   std::mutex shutdown_mu_;  // serializes Shutdown() callers around join
 
   mutable std::mutex stats_mu_;  // guards stats_ + per-shard telemetry
-  ServiceStats stats_;  // counter fields only; sampled fields set in stats()
+  ServiceStats stats_;  // service-wide counters; the rest: lanes, stats()
   std::vector<SlowQuery> slow_ring_;  // descending latency; stats_mu_
 
-  std::unique_ptr<ObsHandles> obs_;  // null when options_.obs.enabled=false
+  obs::Histogram ingest_latency_;  // append apply time; obs.enabled only
   std::atomic<uint64_t> submit_seq_{0};  // trace sampling counter
 
   /// Subscription registry. subs_mu_ guards the vector and each entry's

@@ -61,8 +61,6 @@ struct OverloadPolicy {
   /// Shed (or degrade, for willing threshold requests) interactive
   /// submissions above this fraction.
   double shed_interactive_at = 0.95;
-  /// Also shed bulk when the queue-wait p99 exceeds this; 0 = depth only.
-  std::chrono::milliseconds max_queue_wait_p99{0};
   /// Retry-after hint attached to shed rejections.
   std::chrono::milliseconds retry_after{50};
 };

@@ -168,6 +168,7 @@ Result<std::unique_ptr<FaultInjector>> FaultInjector::Parse(
     injector->by_point_[static_cast<int>(rule.point)].push_back(
         static_cast<uint32_t>(injector->rules_.size()));
     injector->rules_.push_back(rule);
+    injector->fire_counters_.push_back(FireCounter(rule));
   }
   return injector;
 }
@@ -196,7 +197,7 @@ Status FaultInjector::Inject(FaultPoint point, int32_t shard) {
     if (rule.shard >= 0 && rule.shard != shard) continue;
     if (!Fires(rule_index, draw)) continue;
     fired_[p].fetch_add(1, std::memory_order_relaxed);
-    FireCounter(rule)->Add(1);
+    fire_counters_[rule_index]->Add(1);
     switch (rule.kind) {
       case FaultKind::kStall:
         std::this_thread::sleep_for(rule.stall);

@@ -48,6 +48,9 @@
 #include "util/status.h"
 
 namespace ustdb {
+namespace obs {
+class Counter;
+}  // namespace obs
 namespace util {
 
 /// The fixed injection points of the query pipeline. Values index the
@@ -129,6 +132,9 @@ class FaultInjector {
 
   uint64_t seed_ = 0;
   std::vector<FaultRule> rules_;
+  /// Per-rule fire counters, resolved at parse time: Inject() may run
+  /// under a service lock, and must not take the registry's.
+  std::vector<obs::Counter*> fire_counters_;
   /// Rule indices per point, in spec order.
   std::array<std::vector<uint32_t>, kNumFaultPoints> by_point_;
   mutable std::array<std::atomic<uint64_t>, kNumFaultPoints> draws_{};

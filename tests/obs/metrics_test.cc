@@ -3,7 +3,9 @@
 // handle; kind mismatch -> detached sink, never a crash or null), the
 // percentile-from-buckets contract (conservative by at most one log2
 // bucket, a pure function of the counts), the exactness of
-// MergeHistograms, the CommonMeta schema, both exporters, and the
+// MergeHistograms, collectors (points summed with equal-labeled ones,
+// totals folded on removal, first kind kept, snapshots racing
+// registration), the CommonMeta schema, both exporters, and the
 // PeriodicLogger lifecycle.
 
 #include "obs/metrics.h"
@@ -14,6 +16,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -203,6 +207,194 @@ TEST(RegistryTest, ConcurrentResolutionAndUpdates) {
   const MetricsSnapshot snap = registry.Snapshot();
   ASSERT_EQ(snap.families.size(), 1u);
   EXPECT_EQ(snap.families[0].points.size(), 1u + kThreads);
+}
+
+const MetricFamily* FindFamily(const MetricsSnapshot& snapshot,
+                               const std::string& name) {
+  for (const MetricFamily& family : snapshot.families) {
+    if (family.name == name) return &family;
+  }
+  return nullptr;
+}
+
+const MetricPoint* FindPoint(const MetricsSnapshot& snapshot,
+                             const std::string& name, const Labels& labels) {
+  const MetricFamily* family = FindFamily(snapshot, name);
+  if (family == nullptr) return nullptr;
+  for (const MetricPoint& point : family->points) {
+    if (point.labels == labels) return &point;
+  }
+  return nullptr;
+}
+
+HistogramData Observed(std::initializer_list<double> values) {
+  Histogram h;
+  for (double v : values) h.Observe(v);
+  return h.Snapshot();
+}
+
+TEST(CollectorTest, PointsSumWithEqualLabeledPoints) {
+  MetricsRegistry registry;
+  registry.GetCounter("requests", {{"shard", "0"}}, "from the registry")
+      ->Add(2);
+  registry.GetHistogram("latency")->Observe(0.5);
+  int owner_a = 0;
+  int owner_b = 0;
+  registry.AddCollector(&owner_a, [](MetricsWriter* out) {
+    out->AddCounter("requests", {{"shard", "0"}}, 3);
+    out->AddCounter("requests", {{"shard", "1"}}, 5);
+    out->AddHistogram("latency", {}, Observed({0.25, 4.0}));
+    out->AddGauge("depth", {}, 1.5);
+  });
+  registry.AddCollector(&owner_b, [](MetricsWriter* out) {
+    out->AddCounter("requests", {{"shard", "1"}}, 1);
+    out->AddGauge("depth", {}, 2.0);
+  });
+
+  const MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.families.size(), 3u);  // depth, latency, requests
+  const MetricFamily* requests = FindFamily(snap, "requests");
+  ASSERT_NE(requests, nullptr);
+  EXPECT_EQ(requests->help, "from the registry");
+  ASSERT_EQ(requests->points.size(), 2u);
+  EXPECT_EQ(requests->points[0].value, 5.0);  // shard 0: 2 + 3
+  EXPECT_EQ(requests->points[1].value, 6.0);  // shard 1: 5 + 1
+  const MetricPoint* latency = FindPoint(snap, "latency", {});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->histogram.count, 3u);
+  EXPECT_DOUBLE_EQ(latency->histogram.sum, 4.75);
+  const MetricPoint* depth = FindPoint(snap, "depth", {});
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->value, 3.5);
+}
+
+TEST(CollectorTest, RemoveKeepsCounterAndHistogramTotalsAndDropsGauges) {
+  MetricsRegistry registry;
+  int owner = 0;
+  int calls = 0;
+  registry.AddCollector(&owner, [&calls](MetricsWriter* out) {
+    ++calls;
+    out->AddCounter("events", {{"kind", "hit"}}, 7, "events seen", "events");
+    out->AddHistogram("wait", {}, Observed({0.5, 0.5}), "", "seconds");
+    out->AddGauge("depth", {}, 4.0);
+  });
+  EXPECT_NE(FindFamily(registry.Snapshot(), "depth"), nullptr);
+
+  registry.RemoveCollector(&owner);
+  const int calls_at_removal = calls;
+  registry.RemoveCollector(&owner);  // unknown by now: a no-op
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(calls, calls_at_removal);  // never called again
+  const MetricPoint* events = FindPoint(snap, "events", {{"kind", "hit"}});
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->value, 7.0);
+  EXPECT_EQ(FindFamily(snap, "events")->help, "events seen");
+  EXPECT_EQ(FindFamily(snap, "events")->unit, "events");
+  const MetricPoint* wait = FindPoint(snap, "wait", {});
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->histogram.count, 2u);
+  EXPECT_DOUBLE_EQ(wait->histogram.sum, 1.0);
+  EXPECT_EQ(FindFamily(snap, "depth"), nullptr);
+
+  // A later owner's equal-labeled points add to the folded totals.
+  int successor = 0;
+  registry.AddCollector(&successor, [](MetricsWriter* out) {
+    out->AddCounter("events", {{"kind", "hit"}}, 1);
+  });
+  EXPECT_EQ(FindPoint(registry.Snapshot(), "events", {{"kind", "hit"}})->value,
+            8.0);
+  registry.RemoveCollector(&successor);
+  EXPECT_EQ(FindPoint(registry.Snapshot(), "events", {{"kind", "hit"}})->value,
+            8.0);
+}
+
+TEST(CollectorTest, KindConflictKeepsTheFirstKind) {
+  MetricsRegistry registry;
+  registry.GetCounter("owned")->Add(1);
+  int first = 0;
+  int second = 0;
+  registry.AddCollector(&first, [](MetricsWriter* out) {
+    out->AddGauge("owned", {}, 42.0);  // registry-owned counter wins
+    out->AddCounter("shared", {}, 2);
+  });
+  registry.AddCollector(&second, [](MetricsWriter* out) {
+    out->AddHistogram("shared", {}, Observed({1.0}));  // first collector wins
+  });
+
+  const MetricsSnapshot snap = registry.Snapshot();
+  const MetricFamily* owned = FindFamily(snap, "owned");
+  ASSERT_NE(owned, nullptr);
+  EXPECT_EQ(owned->kind, MetricKind::kCounter);
+  ASSERT_EQ(owned->points.size(), 1u);
+  EXPECT_EQ(owned->points[0].value, 1.0);
+  const MetricFamily* shared = FindFamily(snap, "shared");
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared->kind, MetricKind::kCounter);
+  EXPECT_EQ(shared->points[0].value, 2.0);
+
+  // Folding on removal follows the same rule: the conflicting point is
+  // absorbed, never exported under the wrong kind.
+  registry.RemoveCollector(&first);
+  registry.RemoveCollector(&second);
+  const MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(FindFamily(after, "owned")->kind, MetricKind::kCounter);
+  EXPECT_EQ(FindPoint(after, "owned", {})->value, 1.0);
+  EXPECT_EQ(FindFamily(after, "shared")->kind, MetricKind::kCounter);
+  EXPECT_EQ(FindPoint(after, "shared", {})->value, 2.0);
+}
+
+TEST(CollectorTest, SnapshotRacesAddAndRemove) {
+  // Owners keep a counter under their own mutex, the way the service
+  // keeps ServiceStats; collectors take it under the registry's lock.
+  struct Owner {
+    std::mutex mu;
+    uint64_t events = 0;
+  };
+  MetricsRegistry registry;
+  constexpr int kWriters = 4;
+  constexpr int kOwnersPerWriter = 200;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&registry, &done] {
+      while (!done.load(std::memory_order_relaxed)) {
+        const MetricsSnapshot snap = registry.Snapshot();
+        for (const MetricFamily& family : snap.families) {
+          EXPECT_EQ(family.kind, MetricKind::kCounter);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&registry, w] {
+      const Labels labels{{"writer", std::to_string(w)}};
+      for (int i = 0; i < kOwnersPerWriter; ++i) {
+        Owner owner;
+        registry.AddCollector(&owner, [&owner, labels](MetricsWriter* out) {
+          std::lock_guard<std::mutex> lock(owner.mu);
+          out->AddCounter("events", labels, owner.events);
+        });
+        for (int e = 0; e < 3; ++e) {
+          std::lock_guard<std::mutex> lock(owner.mu);
+          ++owner.events;
+        }
+        registry.RemoveCollector(&owner);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  // Every owner's final count survived its removal.
+  const MetricsSnapshot snap = registry.Snapshot();
+  const MetricFamily* events = FindFamily(snap, "events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->points.size(), static_cast<size_t>(kWriters));
+  for (const MetricPoint& point : events->points) {
+    EXPECT_EQ(point.value, 3.0 * kOwnersPerWriter);
+  }
 }
 
 TEST(CommonMetaTest, CarriesTheSharedSchemaKeys) {
