@@ -23,10 +23,24 @@ namespace core {
 namespace {
 
 /// Multi-observation objects (or single observations not at t=0) bypass
-/// both single-observation plans and run the Section VI engine. The rule
-/// lives on UncertainObject so the shard router's census matches exactly.
+/// both single-observation plans; Section VI answers them. The rule lives
+/// on UncertainObject so the shard router's census matches exactly.
 bool NeedsMultiObservation(const UncertainObject& obj) {
   return obj.needs_multi_observation_engine();
+}
+
+/// Whether a multi-observation object reads its chain's head: in implicit
+/// mode, when every observation lies at or before the window's first time
+/// t_b, the Markov property gives P∃ = α(t_b) · head. Every other one — an
+/// observation after t_b (time-interpolation, or a window that starts
+/// before the first observation: Unimplemented), or explicit mode — runs
+/// the doubled-state MultiObservationEngine. The census and the evaluation
+/// loop share this rule, so an object's path depends on the request alone,
+/// never on what the cache holds.
+bool ReadsHead(const UncertainObject& obj, const QueryWindow& window,
+               MatrixMode mode) {
+  return mode == MatrixMode::kImplicit &&
+         obj.observations.back().time <= window.t_begin();
 }
 
 /// Groups of a batch are keyed by the content of the effective window
@@ -136,6 +150,21 @@ struct QueryExecutor::ChainPlan {
   /// happens only on the submitting thread, before and after it.
   const QueryBasedEngine* qb_shift_base = nullptr;
   Timestamp qb_shift_delta = 0;
+  /// Some member has objects that read this chain's head (ReadsHead). A
+  /// pass this batch builds keeps one (or shares its shift base's);
+  /// otherwise the head is `head_owned`.
+  bool want_head = false;
+  /// QueryBasedEngine::HeadPass of the window, built by this batch when
+  /// the chain has no backward pass (its single-observation objects run
+  /// object-based, or it has none) or its borrowed pass kept no head.
+  /// Never cached: cache contents and counts stay independent of which
+  /// objects a batch holds.
+  std::optional<sparse::ProbVector> head_owned;
+
+  /// The window's head; valid after the build phase when want_head.
+  const sparse::ProbVector& head() const {
+    return head_owned.has_value() ? *head_owned : *qb->head();
+  }
 
   /// The plan this request evaluates the chain with: its pinned plan if
   /// any, the planner's decision otherwise.
@@ -156,6 +185,9 @@ struct QueryExecutor::BatchGroup {
   struct Member {
     size_t request_index = 0;
     std::map<ChainId, uint32_t> single_obs_per_chain;
+    /// Multi-observation objects that read their chain's head (ReadsHead);
+    /// every one is in the refine set too, so bounds members keep it.
+    std::vector<ObjectId> head_ids;
     /// True once the member's result slot is already filled (stopped
     /// during the bound phase); later phases skip it.
     bool resolved = false;
@@ -215,6 +247,8 @@ struct QueryExecutor::ExistsEval {
   std::atomic<uint32_t> early{0};
   std::atomic<uint32_t> singles{0};
   std::atomic<uint32_t> multis{0};
+  /// Of `multis`, those answered α · head (trace detail only).
+  std::atomic<uint32_t> via_head{0};
   std::mutex error_mu;
   util::Status first_error = util::Status::OK();
 };
@@ -496,8 +530,9 @@ util::Result<QueryResult> QueryExecutor::RunDegradedBounds(
 void QueryExecutor::EvaluateExistsRange(
     const QueryRequest& request, const QueryWindow& window,
     const Selection& ids, const std::map<ChainId, ChainPlan>& plans,
-    size_t begin, size_t end, std::vector<double>* probs,
-    std::vector<uint8_t>* keep, ExistsEval* ev) {
+    const FilteredStates& filtered, size_t begin, size_t end,
+    std::vector<double>* probs, std::vector<uint8_t>* keep,
+    ExistsEval* ev) {
   // Kernel-dispatch fault point. This runs on pool workers, so a `throw`
   // rule must not unwind the task — it is converted right here and routed
   // through the loop's existing first-error latch, exactly like a
@@ -522,16 +557,32 @@ void QueryExecutor::EvaluateExistsRange(
     if (ev->failed.load(std::memory_order_relaxed)) return;
     const UncertainObject& obj = db_->object(ids[i]);
     if (NeedsMultiObservation(obj)) {
-      MultiObservationEngine engine(&db_->chain(obj.chain), window,
-                                    {.mode = request.matrix_mode});
-      util::Result<MultiObsResult> r = engine.Evaluate(obj.observations);
-      if (!r.ok()) {
+      util::Status status = util::Status::OK();
+      if (ReadsHead(obj, window, request.matrix_mode)) {
+        const util::Result<sparse::ProbVector>& alpha =
+            filtered.at({ids[i], window.t_begin()});
+        if (alpha.ok()) {
+          (*probs)[i] = alpha.value().Dot(plans.at(obj.chain).head());
+          ev->via_head.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          status = alpha.status();
+        }
+      } else {
+        MultiObservationEngine engine(&db_->chain(obj.chain), window,
+                                      {.mode = request.matrix_mode});
+        util::Result<MultiObsResult> r = engine.Evaluate(obj.observations);
+        if (r.ok()) {
+          (*probs)[i] = r->exists_probability;
+        } else {
+          status = r.status();
+        }
+      }
+      if (!status.ok()) {
         ev->failed.store(true, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(ev->error_mu);
-        if (ev->first_error.ok()) ev->first_error = r.status();
+        if (ev->first_error.ok()) ev->first_error = std::move(status);
         return;
       }
-      (*probs)[i] = r->exists_probability;
       if (threshold) (*keep)[i] = (*probs)[i] >= request.tau;
       ev->multis.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -759,6 +810,9 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
           unsupported = true;
           break;
         }
+        if (ReadsHead(obj, request.window, request.matrix_mode)) {
+          member.head_ids.push_back(ids[j]);
+        }
       } else {
         ++member.single_obs_per_chain[obj.chain];
       }
@@ -866,6 +920,9 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     for (const BatchGroup::Member& member : group.members) {
       if (member.resolved) continue;
       const QueryRequest& request = requests[member.request_index];
+      for (ObjectId id : member.head_ids) {
+        group.plans[db_->object(id).chain].want_head = true;
+      }
       for (const auto& [chain, count] : member.single_obs_per_chain) {
         ChainPlan& cp = group.plans[chain];
         if (request.predicate == PredicateKind::kKTimes) {
@@ -942,27 +999,37 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   }
 
   // --- Build phase: construct the cheap engine shells inline, then run
-  // every expensive build — the query-based backward passes and the
-  // explicit-mode M± materializations — as its own pool task, so even a
-  // single-group batch builds its chains' engines in parallel. ------------
+  // every expensive build — the query-based backward passes, the heads no
+  // pass provides and the explicit-mode M± materializations — as its own
+  // pool task, so even a single-group batch builds its chains' engines in
+  // parallel. Then α(t_b) of every head-reading object, once per
+  // (object, t_b) however many members read it, one pool task each. -------
+  enum class BuildKind { kBackward, kHead, kAugmented };
   struct EngineBuild {
     BatchGroup* group;
     ChainId chain;
-    bool backward;  // true: QB backward pass; false: force OB's M±
+    BuildKind kind;  // QB backward pass, HeadPass, or force OB's M±
   };
   std::vector<EngineBuild> builds;
+  FilteredStates filtered;
   for (BatchGroup& group : groups) {
     for (ChainId chain_id : group.qb_to_build) {
-      builds.push_back({&group, chain_id, /*backward=*/true});
+      builds.push_back({&group, chain_id, BuildKind::kBackward});
     }
     for (auto& [chain_id, cp] : group.plans) {
+      // A pass built here keeps (or shares) its head; a borrowed headless
+      // pass, or none at all, leaves the head to a HeadPass.
+      if (cp.want_head &&
+          (cp.qb != nullptr ? cp.qb->head() == nullptr : !cp.want_qb)) {
+        builds.push_back({&group, chain_id, BuildKind::kHead});
+      }
       if (cp.want_ob) {
         cp.ob = std::make_unique<ObjectBasedEngine>(
             &db_->chain(chain_id), group.window,
             ObjectBasedOptions{.mode = group.mode});
         if (group.mode == MatrixMode::kExplicit) {
           // Force the lazily built M−/M+ before subtasks share the engine.
-          builds.push_back({&group, chain_id, /*backward=*/false});
+          builds.push_back({&group, chain_id, BuildKind::kAugmented});
         }
       }
       if (cp.want_ktimes) {
@@ -971,26 +1038,57 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
             KTimesOptions{.mode = group.mode});
       }
     }
+    for (const BatchGroup::Member& member : group.members) {
+      if (member.resolved) continue;
+      for (ObjectId id : member.head_ids) {
+        filtered.try_emplace(
+            {id, group.window.t_begin()},
+            util::Status::Internal("filtered distribution not computed"));
+      }
+    }
   }
   pool_.ParallelChunks(builds.size(), [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       const EngineBuild& build = builds[b];
       ChainPlan& cp = build.group->plans.at(build.chain);
-      if (build.backward) {
-        cp.qb_owned =
-            cp.qb_shift_base != nullptr
-                ? std::make_unique<QueryBasedEngine>(*cp.qb_shift_base,
-                                                     build.group->window,
-                                                     cp.qb_shift_delta)
-                : std::make_unique<QueryBasedEngine>(
-                      &db_->chain(build.chain), build.group->window,
-                      QueryBasedOptions{.mode = build.group->mode});
-        cp.qb = cp.qb_owned.get();
-      } else {
-        (void)cp.ob->augmented();
+      switch (build.kind) {
+        case BuildKind::kBackward:
+          cp.qb_owned =
+              cp.qb_shift_base != nullptr
+                  ? std::make_unique<QueryBasedEngine>(
+                        *cp.qb_shift_base, build.group->window,
+                        cp.qb_shift_delta, cp.want_head)
+                  : std::make_unique<QueryBasedEngine>(
+                        &db_->chain(build.chain), build.group->window,
+                        QueryBasedOptions{.mode = build.group->mode,
+                                          .keep_head = cp.want_head});
+          cp.qb = cp.qb_owned.get();
+          break;
+        case BuildKind::kHead:
+          cp.head_owned = QueryBasedEngine::HeadPass(&db_->chain(build.chain),
+                                                     build.group->window);
+          break;
+        case BuildKind::kAugmented:
+          (void)cp.ob->augmented();
+          break;
       }
     }
   });
+  if (!filtered.empty()) {
+    // A separate dispatch: static chunking would otherwise pack the few
+    // expensive builds above onto fewer workers.
+    std::vector<FilteredStates::value_type*> alphas;
+    alphas.reserve(filtered.size());
+    for (auto& entry : filtered) alphas.push_back(&entry);
+    pool_.ParallelChunks(alphas.size(), [&](size_t begin, size_t end) {
+      for (size_t a = begin; a < end; ++a) {
+        auto& [key, alpha] = *alphas[a];
+        const UncertainObject& obj = db_->object(key.first);
+        alpha = FilteredDistribution(db_->chain(obj.chain), obj.observations,
+                                     key.second);
+      }
+    });
+  }
   const SClock::time_point g2 = now();
   SClock::time_point last_wave_end = g2;
 
@@ -1119,8 +1217,9 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
           if (me.exists_ev->ShouldStop()) continue;
           me.subtasks.fetch_add(1, std::memory_order_relaxed);
           EvaluateExistsRange(me.request, me.group->window, me.ids,
-                              me.group->plans, task.begin, task.end,
-                              &me.probs, &me.keep, &*me.exists_ev);
+                              me.group->plans, filtered, task.begin,
+                              task.end, &me.probs, &me.keep,
+                              &*me.exists_ev);
         }
       }
     });
@@ -1150,6 +1249,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       }
       st.group_subtasks = me.subtasks.load();
       util::Status status = util::Status::OK();
+      uint32_t via_head = 0;
       if (me.ktimes) {
         status = me.ktimes_ev->poller.ToStatus();
         st.chains_object_based =
@@ -1168,12 +1268,13 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
         st.prune.objects_decided_early = me.exists_ev->early.load();
         st.objects_evaluated = me.exists_ev->singles.load();
         st.objects_multi_observation = me.exists_ev->multis.load();
+        via_head = me.exists_ev->via_head.load();
       }
       if (me.request.trace != nullptr) {
         // The member's spans: the shared plan window (around its own
         // bound span, if it ran one), the shared build phase, and its
         // wave's evaluation window.
-        char detail[64];
+        char detail[96];
         std::snprintf(detail, sizeof(detail), "batch_members=%u",
                       st.batch_group_members);
         if (member.bounds) {
@@ -1189,8 +1290,10 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
                       static_cast<unsigned long long>(group.cache_misses));
         me.request.trace->Record(obs::Stage::kEngineBuild, g1, g2, shard,
                                  detail);
-        std::snprintf(detail, sizeof(detail), "objects=%u,subtasks=%u",
+        std::snprintf(detail, sizeof(detail),
+                      "objects=%u,multi_obs=%u,via_head=%u,subtasks=%u",
                       st.objects_evaluated + st.objects_multi_observation,
+                      st.objects_multi_observation, via_head,
                       st.group_subtasks);
         me.request.trace->Record(obs::Stage::kEvaluate, w0, w1, shard,
                                  detail);

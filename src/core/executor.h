@@ -13,8 +13,10 @@
 //     requests may bound whole chain clusters with cached interval
 //     envelopes and refine only the undecided objects (kBoundsThenRefine,
 //     chosen cost-based or forced),
-//   * automatic routing of multi-observation objects through the
-//     Section VI engine.
+//   * Section VI multi-observation objects answered by one dot product
+//     α(t_begin) · head when all their observations precede the window
+//     (the head is the backward pass's vector at the window's first
+//     time), and by the doubled-state engine otherwise.
 //
 // Requests are grouped by (effective window, matrix mode), each group
 // shares one backward pass (and one engine of every other kind it needs)
@@ -29,6 +31,7 @@
 #include <map>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -201,6 +204,14 @@ class QueryExecutor {
   struct ExistsEval;  // shared stop/error/counter state of one evaluation
   struct KTimesEval;  // ditto for the k-times evaluation loop
 
+  /// α(t_b) per (object, t_b): the filtered distribution of every
+  /// multi-observation object whose observations all lie at or before a
+  /// batch window's first time t_b, or the status of the observation that
+  /// rules out every world. Built once per batch, read by every member.
+  using FilteredStates =
+      std::map<std::pair<ObjectId, Timestamp>,
+               util::Result<sparse::ProbVector>>;
+
   /// ExecStats counters summed over every member of every run (answered,
   /// failed or stopped), and the cache's counters after the latest run.
   struct RunTotals {
@@ -278,8 +289,8 @@ class QueryExecutor {
   void EvaluateExistsRange(const QueryRequest& request,
                            const QueryWindow& window, const Selection& ids,
                            const std::map<ChainId, ChainPlan>& plans,
-                           size_t begin, size_t end,
-                           std::vector<double>* probs,
+                           const FilteredStates& filtered, size_t begin,
+                           size_t end, std::vector<double>* probs,
                            std::vector<uint8_t>* keep, ExistsEval* ev);
   void EvaluateKTimesRange(const Selection& ids,
                            const std::map<ChainId, ChainPlan>& plans,

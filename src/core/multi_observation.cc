@@ -19,6 +19,35 @@ MultiObservationEngine::MultiObservationEngine(
   assert(window_.region().domain_size() == chain_->num_states());
 }
 
+util::Result<ProbVector> FilteredDistribution(
+    const markov::MarkovChain& chain,
+    const std::vector<Observation>& observations, Timestamp t) {
+  assert(!observations.empty() && observations.back().time <= t);
+  sparse::VecMatWorkspace ws;
+  const sparse::CsrMatrix& m = chain.matrix();
+  const sparse::CsrMatrix* mt = nullptr;  // fetched on first dense step
+  ProbVector alpha = observations.front().pdf;
+  USTDB_RETURN_NOT_OK(alpha.Normalize());
+  size_t next_obs = 1;
+  for (Timestamp step = observations.front().time + 1; step <= t; ++step) {
+    if (mt == nullptr && !alpha.IsSparse()) mt = &chain.transposed();
+    ws.Multiply(alpha, m, &alpha, mt);
+    if (next_obs < observations.size() &&
+        observations[next_obs].time == step) {
+      USTDB_RETURN_NOT_OK(alpha.PointwiseMultiply(observations[next_obs].pdf));
+      const double mass = alpha.Sum();
+      if (mass <= 0.0) {
+        return util::Status::Inconsistent(util::StringPrintf(
+            "observation at t=%u is inconsistent with all possible worlds",
+            step));
+      }
+      alpha.Scale(1.0 / mass);
+      ++next_obs;
+    }
+  }
+  return alpha;
+}
+
 util::Status MultiObservationEngine::ValidateObservations(
     const std::vector<Observation>& observations) const {
   if (observations.empty()) {

@@ -8,10 +8,17 @@
 // one absorbing state — their current location affects the probability of
 // later observations — so the state space is doubled: s_i (not yet hit) and
 // s_i◾ (hit, currently at s_i). At each observation time the joint vector is
-// conditioned on the observation by an elementwise product (Lemma 1);
-// because conditioning is a pure rescaling, the engine defers normalization
-// until the end (P_total = P(B) / (P(B) + P(C)), Equation 1) and the
-// deferred and eager variants agree (tested).
+// conditioned on the observation by an elementwise product (Lemma 1) and
+// renormalized, and the answer is P(B) / (P(B) + P(C)) (Equation 1).
+//
+// When every observation lies at or before the window's first time t_b,
+// the Markov property collapses the doubled pass to one dot product:
+// P∃ = α(t_b) · h, where α(t_b) is the object's filtered distribution
+// (FilteredDistribution below) and h the head of the window's query-based
+// backward pass (QueryBasedEngine::head()). The executor answers such
+// objects that way; this engine serves the rest (time-interpolation,
+// explicit matrix mode) and is the reference the identity is tested
+// against.
 
 #ifndef USTDB_CORE_MULTI_OBSERVATION_H_
 #define USTDB_CORE_MULTI_OBSERVATION_H_
@@ -40,9 +47,14 @@ struct Observation {
 struct MultiObservationOptions {
   MatrixMode mode = MatrixMode::kImplicit;
   /// If true, renormalize after every observation (the paper's Lemma 1
-  /// presentation). If false, normalize once at the end — numerically
-  /// equivalent, fewer passes. Both paths are kept for the equivalence test.
-  bool eager_normalization = false;
+  /// presentation). If false, normalize once at the end. The two are equal
+  /// in exact arithmetic only: deferred vectors are never rescaled, so
+  /// every observation shrinks their mass and ProbVector::Compact() drops
+  /// entries below kProbEpsilon that still matter. On a long history the
+  /// deferred mode then drifts or reports the observations inconsistent
+  /// (80 exact observations of a 1,000-state chain do). Keep the default;
+  /// the deferred mode is kept for the short-history equivalence test.
+  bool eager_normalization = true;
 };
 
 /// Posterior summary produced by a multi-observation run.
@@ -57,6 +69,19 @@ struct MultiObsResult {
   /// A small value means the observations were nearly contradictory.
   double surviving_mass = 0.0;
 };
+
+/// \brief The filtered distribution α(t) = P(o(t) = · | observations) of
+/// an object at a time `t` at or after its last observation: the first
+/// observation's pdf propagated forward, conditioned on every later
+/// observation (Lemma 1) and renormalized there. Fails with kInconsistent,
+/// naming the observation, when the observations rule out every possible
+/// world — the same status MultiObservationEngine returns.
+/// \pre `observations` is a valid history for `chain` (non-empty, sorted by
+/// strictly increasing time, pdfs of dimension |S| — Database enforces
+/// this) and observations.back().time <= t.
+util::Result<sparse::ProbVector> FilteredDistribution(
+    const markov::MarkovChain& chain,
+    const std::vector<Observation>& observations, Timestamp t);
 
 /// \brief Evaluates PST∃Q under multiple observations for one chain/window.
 class MultiObservationEngine {

@@ -1,9 +1,24 @@
 #include "core/query_based.h"
 
 #include <cassert>
+#include <memory>
+#include <vector>
 
 namespace ustdb {
 namespace core {
+
+namespace {
+
+/// The head at a window time t: the pass's vector `g` at t with that
+/// time's clamp applied. HeadPass's terminal clamp is the same
+/// ClampRegionToOnes after the same steps, so the two agree bit for bit.
+std::shared_ptr<const sparse::ProbVector> HeadOf(
+    const sparse::IndexSet& region, sparse::ProbVector g) {
+  ClampRegionToOnes(region, &g);
+  return std::make_shared<const sparse::ProbVector>(std::move(g));
+}
+
+}  // namespace
 
 QueryBasedEngine::QueryBasedEngine(const markov::MarkovChain* chain,
                                    QueryWindow window,
@@ -19,10 +34,12 @@ QueryBasedEngine::QueryBasedEngine(const markov::MarkovChain* chain,
 }
 
 QueryBasedEngine::QueryBasedEngine(const QueryBasedEngine& base,
-                                   QueryWindow window, Timestamp delta)
+                                   QueryWindow window, Timestamp delta,
+                                   bool keep_head)
     : chain_(base.chain_),
       window_(std::move(window)),
-      options_(base.options_) {
+      options_(base.options_),
+      head_(base.head_) {
   assert(options_.mode == MatrixMode::kImplicit);
   assert(delta >= 1);
   assert(window_.t_end() == base.window_.t_end() + delta);
@@ -37,6 +54,20 @@ QueryBasedEngine::QueryBasedEngine(const QueryBasedEngine& base,
   // impossible and no final clamp applies.
   transitions_ = base.transitions_ + delta;
   start_vector_ = std::move(g);
+  if (keep_head && head_ == nullptr) {
+    head_ = std::make_shared<const sparse::ProbVector>(
+        HeadPass(chain_, window_));
+  }
+}
+
+sparse::ProbVector QueryBasedEngine::HeadPass(
+    const markov::MarkovChain* chain, const QueryWindow& window) {
+  std::vector<Timestamp> moved = window.times();
+  for (Timestamp& t : moved) t -= window.t_begin();
+  QueryBasedEngine pass(
+      chain, QueryWindow::Create(window.region(), std::move(moved))
+                 .ValueOrDie());
+  return std::move(pass.start_vector_);
 }
 
 void QueryBasedEngine::RunBackwardImplicit() {
@@ -58,12 +89,18 @@ void QueryBasedEngine::RunBackwardImplicit() {
 
   const Timestamp t_end = window_.t_end();
   for (Timestamp t = t_end; t > 0; --t) {
+    if (options_.keep_head && t == window_.t_begin()) {
+      head_ = HeadOf(window_.region(), g);
+    }
     if (window_.ContainsTime(t)) {
       ws.MultiplyClamped(g, mt, window_.region(), &g, &mtt);
     } else {
       ws.Multiply(g, mt, &g, &mtt);
     }
     ++transitions_;
+  }
+  if (options_.keep_head && window_.t_begin() == 0) {
+    head_ = HeadOf(window_.region(), g);
   }
   if (window_.ContainsTime(0)) {
     ClampRegionToOnes(window_.region(), &g);

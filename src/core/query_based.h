@@ -6,9 +6,18 @@
 // *starting at state s* satisfies the query. Every object is then answered
 // with a single sparse dot product P∃(o) = P(o,0) · v, which amortizes the
 // backward pass over the whole database: O(|D| + |S_reach|²·δt).
+//
+// On its way down to t = 0 the pass crosses the window's first time
+// t_begin, where its vector h[s] is the probability of hitting the window
+// from state s at t_begin. A pass may keep that vector (its *head*): an
+// object whose observations all lie at or before t_begin then answers
+// Section VI's query with one dot product α(t_begin) · h, α being its
+// filtered distribution (FilteredDistribution, multi_observation.h).
 
 #ifndef USTDB_CORE_QUERY_BASED_H_
 #define USTDB_CORE_QUERY_BASED_H_
+
+#include <memory>
 
 #include "core/absorbing.h"
 #include "core/object_based.h"
@@ -22,6 +31,8 @@ namespace core {
 /// Tuning knobs for the query-based engine.
 struct QueryBasedOptions {
   MatrixMode mode = MatrixMode::kImplicit;
+  /// Keep the pass's vector at t_begin (head()). Implicit mode only.
+  bool keep_head = false;
 };
 
 /// \brief Evaluates PST∃Q for one chain and one window with a single
@@ -48,11 +59,21 @@ class QueryBasedEngine {
   /// projects away the absorbed mass, losing the state the extension
   /// would need); results match a cold build bit-identically or within
   /// the 1e-12 kernel-parity margin.
+  /// The head depends only on the window's shape, so the extension shares
+  /// the base's; with `keep_head` and a headless base it runs HeadPass.
   /// \pre base is implicit-mode; `window` is base.window() shifted by
   /// `delta` >= 1 (the caller — EngineCache's shift-base lookup —
   /// verifies this).
   QueryBasedEngine(const QueryBasedEngine& base, QueryWindow window,
-                   Timestamp delta);
+                   Timestamp delta, bool keep_head = false);
+
+  /// \brief The head of `window`'s pass computed on its own: the start
+  /// vector of a cold pass over the window moved to start at t = 0. It
+  /// repeats the t_end − t_begin steps a full pass runs above t_begin,
+  /// so it equals every kept head of this chain and window shape bit for
+  /// bit.
+  static sparse::ProbVector HeadPass(const markov::MarkovChain* chain,
+                                     const QueryWindow& window);
 
   /// \brief The per-start-state satisfaction vector v at t=0: v[s] =
   /// probability that an object located at s at time 0 (with certainty)
@@ -63,6 +84,12 @@ class QueryBasedEngine {
   double ExistsProbability(const sparse::ProbVector& initial) const {
     return initial.Dot(start_vector_);
   }
+
+  /// \brief The pass's vector at t_begin: h[s] = probability that an
+  /// object located at s at time t_begin intersects the window (the
+  /// t_begin clamp applied). nullptr unless the engine was built with
+  /// keep_head or extends a base that has a head.
+  const sparse::ProbVector* head() const { return head_.get(); }
 
   /// Number of backward transitions executed (== t_end).
   uint32_t transitions() const { return transitions_; }
@@ -78,6 +105,8 @@ class QueryBasedEngine {
   QueryWindow window_;
   QueryBasedOptions options_;
   sparse::ProbVector start_vector_;
+  /// Shared along a shift-extension chain: equal window shapes, equal head.
+  std::shared_ptr<const sparse::ProbVector> head_;
   uint32_t transitions_ = 0;
 };
 

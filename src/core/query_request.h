@@ -221,8 +221,9 @@ struct ExecStats {
   /// cancellation or deadline reports only the objects it actually
   /// evaluated (observable via QueryExecutor::last_run_stats()).
   uint32_t objects_evaluated = 0;
-  /// Objects routed through the Section VI multi-observation engine
-  /// (counted as answered, like objects_evaluated).
+  /// Multi-observation objects answered by Section VI, by either path:
+  /// α · head or the doubled-state engine (counted as answered, like
+  /// objects_evaluated; the evaluate trace span splits the two).
   uint32_t objects_multi_observation = 0;
   /// Worker threads the executor's pool had available for this run.
   unsigned threads_used = 1;
