@@ -24,25 +24,15 @@ void InjectCacheAdmissionFault() {
 const QueryBasedEngine* EngineCache::Lookup(const markov::MarkovChain* chain,
                                             const QueryWindow& window,
                                             DataVersion epoch) {
-  Key key{chain, window.region().elements(), window.times()};
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  if (it->second->epoch != epoch) {
-    // Lazy invalidation: the chain's data moved past this entry's build
-    // epoch; drop exactly this entry — untouched chains keep theirs.
-    ++stats_.invalidations;
-    ++stats_.misses;
-    lru_.erase(it->second);
-    index_.erase(it);
-    return nullptr;
-  }
-  ++stats_.hits;
-  // Move to the front of the LRU list.
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->engine.get();
+  // Lazy invalidation: a stale entry (the chain's data moved past its
+  // build epoch) is dropped — untouched chains keep theirs.
+  bool invalidated = false;
+  const std::unique_ptr<QueryBasedEngine>* hit = passes_.Lookup(
+      Key{chain, window.region().elements(), window.times()}, epoch,
+      &invalidated);
+  if (invalidated) ++stats_.invalidations;
+  ++(hit != nullptr ? stats_.hits : stats_.misses);
+  return hit != nullptr ? hit->get() : nullptr;
 }
 
 const QueryBasedEngine* EngineCache::LookupShiftBase(
@@ -53,10 +43,10 @@ const QueryBasedEngine* EngineCache::LookupShiftBase(
   if (times.empty()) return nullptr;
   // Candidates share (chain, region) — a contiguous key range. Pick the
   // smallest offset: the cheapest extension.
-  auto it = index_.lower_bound(Key{chain, region, {}});
-  std::list<Entry>::iterator best;
+  auto it = passes_.index.lower_bound(Key{chain, region, {}});
+  auto best = passes_.lru.end();
   Timestamp best_delta = 0;
-  for (; it != index_.end() && it->first.chain == chain &&
+  for (; it != passes_.index.end() && it->first.chain == chain &&
          it->first.region == region;
        ++it) {
     const std::vector<Timestamp>& base_times = it->first.times;
@@ -77,34 +67,23 @@ const QueryBasedEngine* EngineCache::LookupShiftBase(
   }
   if (best_delta == 0) return nullptr;
   ++stats_.shift_extends;
-  lru_.splice(lru_.begin(), lru_, best);
+  passes_.lru.splice(passes_.lru.begin(), passes_.lru, best);
   *delta = best_delta;
-  return best->engine.get();
+  return best->value.get();
 }
 
 const QueryBasedEngine* EngineCache::Put(
     const markov::MarkovChain* chain, const QueryWindow& window,
     std::unique_ptr<QueryBasedEngine> engine, DataVersion epoch) {
   InjectCacheAdmissionFault();
-  Key key{chain, window.region().elements(), window.times()};
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    if (it->second->epoch == epoch) return it->second->engine.get();
-    // Replace the stale pass in place: same key, fresh epoch.
-    ++stats_.invalidations;
-    it->second->engine = std::move(engine);
-    it->second->epoch = epoch;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->engine.get();
-  }
-  if (lru_.size() >= capacity_) {
-    ++stats_.evictions;
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-  lru_.push_front(Entry{key, std::move(engine), epoch});
-  index_[std::move(key)] = lru_.begin();
-  return lru_.front().engine.get();
+  bool evicted = false;
+  bool invalidated = false;
+  const std::unique_ptr<QueryBasedEngine>* cached = passes_.Put(
+      Key{chain, window.region().elements(), window.times()},
+      std::move(engine), epoch, capacity_, &evicted, &invalidated);
+  if (evicted) ++stats_.evictions;
+  if (invalidated) ++stats_.invalidations;
+  return cached->get();
 }
 
 const markov::IntervalMarkovChain* EngineCache::LookupEnvelope(
@@ -160,8 +139,8 @@ const std::vector<markov::ProbBound>* EngineCache::PutBounds(
 }
 
 void EngineCache::Clear() {
-  lru_.clear();
-  index_.clear();
+  passes_.lru.clear();
+  passes_.index.clear();
   envelopes_.lru.clear();
   envelopes_.index.clear();
   bounds_.lru.clear();

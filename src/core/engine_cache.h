@@ -25,9 +25,9 @@ namespace core {
 
 /// Cache statistics. hits/misses/evictions cover the query-based engine
 /// store; the bound_* counters cover the Section V-C cluster stores
-/// (interval envelopes and their per-window bound passes), which live in
-/// separate LRU lists so admitting a bound pass can never evict a borrowed
-/// backward pass.
+/// (interval envelopes and their per-window bound passes), which are
+/// separate LRU stores so admitting a bound pass can never evict a
+/// borrowed backward pass.
 struct EngineCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -95,9 +95,9 @@ class EngineCache {
 
   /// \brief Inserts a pre-built engine for (chain, window), evicting the
   /// least-recently-used entry when full. If the key is already cached at
-  /// this epoch the existing engine is kept (and returned) and `engine`
-  /// is discarded; a stale same-key entry is replaced (counting an
-  /// invalidation). Records evictions but neither hits nor misses (a
+  /// this epoch the existing engine is kept (refreshed and returned) and
+  /// `engine` is discarded; a stale same-key entry is replaced (counting
+  /// an invalidation). Records evictions but neither hits nor misses (a
   /// paired Lookup() already did). `engine` must have been built for
   /// exactly this chain and window, in the default (implicit) matrix
   /// mode.
@@ -144,7 +144,7 @@ class EngineCache {
       ChainId leader, uint32_t num_members, const QueryWindow& window,
       std::vector<markov::ProbBound> bounds, DataVersion epoch = 0);
 
-  size_t size() const { return lru_.size(); }
+  size_t size() const { return passes_.lru.size(); }
   size_t capacity() const { return capacity_; }
   const EngineCacheStats& stats() const { return stats_; }
 
@@ -169,16 +169,11 @@ class EngineCache {
     }
   };
 
-  struct Entry {
-    Key key;
-    std::unique_ptr<QueryBasedEngine> engine;
-    DataVersion epoch = 0;  ///< chain epoch the pass was built at
-  };
-
-  /// Shared LRU-map implementation of the two cluster stores; V is the
-  /// cached payload, K must be strictly ordered. Every node carries the
-  /// epoch it was admitted at; a lookup at a different epoch drops the
-  /// node (lazy invalidation, reported via `invalidated`).
+  /// Shared LRU-map implementation of the backward-pass store and the two
+  /// cluster stores; V is the cached payload, K must be strictly ordered.
+  /// Every node carries the epoch it was admitted at; a lookup at a
+  /// different epoch drops the node (lazy invalidation, reported via
+  /// `invalidated`).
   template <typename K, typename V>
   struct LruStore {
     struct Node {
@@ -237,8 +232,7 @@ class EngineCache {
   };
 
   size_t capacity_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::map<Key, std::list<Entry>::iterator> index_;
+  LruStore<Key, std::unique_ptr<QueryBasedEngine>> passes_;
   LruStore<ClusterKey, markov::IntervalMarkovChain> envelopes_;
   LruStore<BoundsKey, std::vector<markov::ProbBound>> bounds_;
   EngineCacheStats stats_;

@@ -9,13 +9,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <tuple>
 #include <utility>
 
 #include "core/k_times.h"
 #include "core/multi_observation.h"
 #include "obs/trace.h"
 #include "util/fault_injector.h"
+#include "util/string_util.h"
 
 namespace ustdb {
 namespace core {
@@ -29,25 +29,22 @@ bool NeedsMultiObservation(const UncertainObject& obj) {
   return obj.needs_multi_observation_engine();
 }
 
-/// Whether a multi-observation object reads its chain's head: in implicit
-/// mode, when every observation lies at or before the window's first time
-/// t_b, the Markov property gives P∃ = α(t_b) · head. Every other one — an
-/// observation after t_b (time-interpolation, or a window that starts
-/// before the first observation: Unimplemented), or explicit mode — runs
-/// the doubled-state MultiObservationEngine. The census and the evaluation
-/// loop share this rule, so an object's path depends on the request alone,
-/// never on what the cache holds.
-bool ReadsHead(const UncertainObject& obj, const QueryWindow& window,
-               MatrixMode mode) {
-  return mode == MatrixMode::kImplicit &&
-         obj.observations.back().time <= window.t_begin();
+/// Whether a multi-observation object reads its chain's head: when every
+/// observation lies at or before the window's first time t_b, the Markov
+/// property gives P∃ = α(t_b) · head. Every other one — an observation
+/// after t_b (time-interpolation, or a window that starts before the first
+/// observation: Unimplemented) — runs the doubled-state
+/// MultiObservationEngine. The census and the evaluation loop share this
+/// rule, so an object's path depends on the request alone, never on what
+/// the cache holds.
+bool ReadsHead(const UncertainObject& obj, const QueryWindow& window) {
+  return obj.observations.back().time <= window.t_begin();
 }
 
 /// Groups of a batch are keyed by the content of the effective window
-/// (region elements + time set) and the matrix mode: requests with equal
-/// keys share every per-chain engine.
-using GroupKey =
-    std::tuple<std::vector<uint32_t>, std::vector<Timestamp>, int>;
+/// (region elements + time set): requests with equal keys share every
+/// per-chain engine.
+using GroupKey = std::pair<std::vector<uint32_t>, std::vector<Timestamp>>;
 
 /// Soundness margin of every bound decision. The envelope sweep
 /// accumulates strictly sequentially, but the exact engines a refine (or
@@ -130,10 +127,9 @@ class StopPoller {
 
 /// Per-group, per-chain engine bundle: the decided plan plus the engines
 /// realizing it. QB engines are borrowed from the cache on a hit, owned
-/// when built by this batch (admitted to the cache after evaluation) or
-/// when a non-default matrix mode is requested (cache entries are keyed
-/// without the mode). The want_* flags are filled by the batch planner so
-/// the build phase knows which engines to construct.
+/// when built by this batch (admitted to the cache after evaluation). The
+/// want_* flags are filled by the batch planner so the build phase knows
+/// which engines to construct.
 struct QueryExecutor::ChainPlan {
   Plan plan = Plan::kQueryBased;
   bool want_qb = false;
@@ -176,10 +172,9 @@ struct QueryExecutor::ChainPlan {
 };
 
 /// One RunBatch group: every member request shares the effective window,
-/// the matrix mode, and therefore every engine in `plans`.
+/// and therefore every engine in `plans`.
 struct QueryExecutor::BatchGroup {
   QueryWindow window;  // effective (complemented region for ∀ members)
-  MatrixMode mode = MatrixMode::kImplicit;
 
   /// Census of one member request, taken on the submitting thread.
   struct Member {
@@ -205,9 +200,9 @@ struct QueryExecutor::BatchGroup {
   std::vector<Member> members;
 
   std::map<ChainId, ChainPlan> plans;
-  /// Chains whose QB engine missed the cache (or is mode-uncacheable) and
-  /// is built inside the group task; implicit-mode builds are inserted
-  /// into the cache after the parallel phase.
+  /// Chains whose QB engine missed the cache and is built inside the
+  /// group task; the builds are inserted into the cache after the
+  /// parallel phase.
   std::vector<ChainId> qb_to_build;
   /// Cache-stat deltas of this group's lookups, reported on the first
   /// successfully answered member so aggregating over members never
@@ -365,14 +360,33 @@ void QueryExecutor::CollectMetrics(obs::MetricsWriter* out) const {
                    "Executor runs (Run is a one-member RunBatch)");
 }
 
-util::Status QueryExecutor::ValidateFilter(
+util::Status CheckWindowDomain(const QueryWindow& window,
+                               const markov::MarkovChain& chain) {
+  if (window.region().domain_size() == chain.num_states()) {
+    return util::Status::OK();
+  }
+  return util::Status::InvalidArgument(util::StringPrintf(
+      "query window is over %u states, but an evaluated object's chain "
+      "has %u",
+      window.region().domain_size(), chain.num_states()));
+}
+
+util::Status QueryExecutor::ValidateRequest(
     const QueryRequest& request) const {
-  if (!request.object_filter.has_value()) return util::Status::OK();
+  if (!request.object_filter.has_value()) {
+    for (ChainId c = 0; c < db_->num_chains(); ++c) {
+      if (db_->objects_by_chain()[c].empty()) continue;
+      USTDB_RETURN_NOT_OK(CheckWindowDomain(request.window, db_->chain(c)));
+    }
+    return util::Status::OK();
+  }
   for (ObjectId id : *request.object_filter) {
     if (id >= db_->num_objects()) {
       return util::Status::InvalidArgument(
           "object_filter references an id outside the database");
     }
+    USTDB_RETURN_NOT_OK(CheckWindowDomain(
+        request.window, db_->chain(db_->object(id).chain)));
   }
   return util::Status::OK();
 }
@@ -558,7 +572,7 @@ void QueryExecutor::EvaluateExistsRange(
     const UncertainObject& obj = db_->object(ids[i]);
     if (NeedsMultiObservation(obj)) {
       util::Status status = util::Status::OK();
-      if (ReadsHead(obj, window, request.matrix_mode)) {
+      if (ReadsHead(obj, window)) {
         const util::Result<sparse::ProbVector>& alpha =
             filtered.at({ids[i], window.t_begin()});
         if (alpha.ok()) {
@@ -568,8 +582,7 @@ void QueryExecutor::EvaluateExistsRange(
           status = alpha.status();
         }
       } else {
-        MultiObservationEngine engine(&db_->chain(obj.chain), window,
-                                      {.mode = request.matrix_mode});
+        MultiObservationEngine engine(&db_->chain(obj.chain), window);
         util::Result<MultiObsResult> r = engine.Evaluate(obj.observations);
         if (r.ok()) {
           (*probs)[i] = r->exists_probability;
@@ -770,12 +783,12 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   // database reads 0.
   const DataVersion run_epoch = db_->data_version();
 
-  // --- Group phase: census each request, bucket by (window, mode). -------
+  // --- Group phase: census each request, bucket by window. ---------------
   std::vector<BatchGroup> groups;
   std::map<GroupKey, size_t> group_index;
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& request = requests[i];
-    if (util::Status status = ValidateFilter(request); !status.ok()) {
+    if (util::Status status = ValidateRequest(request); !status.ok()) {
       results[i] = std::move(status);
       continue;
     }
@@ -810,7 +823,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
           unsupported = true;
           break;
         }
-        if (ReadsHead(obj, request.window, request.matrix_mode)) {
+        if (ReadsHead(obj, request.window)) {
           member.head_ids.push_back(ids[j]);
         }
       } else {
@@ -824,14 +837,12 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
         request.predicate == PredicateKind::kForAll
             ? request.window.WithComplementRegion()
             : request.window;
-    GroupKey key{window.region().elements(), window.times(),
-                 static_cast<int>(request.matrix_mode)};
+    GroupKey key{window.region().elements(), window.times()};
     const auto [it, inserted] =
         group_index.try_emplace(std::move(key), groups.size());
     if (inserted) {
       BatchGroup group;
       group.window = window;
-      group.mode = request.matrix_mode;
       groups.push_back(std::move(group));
     }
     groups[it->second].members.push_back(std::move(member));
@@ -872,9 +883,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       for (const auto& [chain, count] : member.single_obs_per_chain) {
         loads.push_back({chain, count});
       }
-      if (planner_
-              .ChooseThresholdPlan(group.window, group.mode, request.plan,
-                                   loads)
+      if (planner_.ChooseThresholdPlan(group.window, request.plan, loads)
               .plan != Plan::kBoundsThenRefine) {
         continue;
       }
@@ -944,8 +953,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     }
     for (const auto& [chain, loads] : auto_loads) {
       ChainPlan& cp = group.plans.at(chain);
-      cp.plan =
-          planner_.PlanBatch(chain, group.window, group.mode, loads).plan;
+      cp.plan = planner_.PlanBatch(chain, group.window, loads).plan;
       (cp.plan == Plan::kQueryBased ? cp.want_qb : cp.want_ob) = true;
     }
 
@@ -954,20 +962,14 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     // miss, a same-epoch pass for the window shifted backward is borrowed
     // as an extension base: the build phase then runs delta steps instead
     // of a cold pass (the standing-query window-slide fast path).
-    const bool cacheable = group.mode == MatrixMode::kImplicit;
     const EngineCacheStats before = cache_.stats();
     for (auto& [chain_id, cp] : group.plans) {
       if (!cp.want_qb) continue;
-      if (cacheable) {
-        const DataVersion epoch = db_->chain_epoch(chain_id);
-        cp.qb = cache_.Lookup(&db_->chain(chain_id), group.window, epoch);
-        if (cp.qb == nullptr) {
-          cp.qb_shift_base = cache_.LookupShiftBase(
-              &db_->chain(chain_id), group.window, epoch,
-              &cp.qb_shift_delta);
-        }
-      }
+      const DataVersion epoch = db_->chain_epoch(chain_id);
+      cp.qb = cache_.Lookup(&db_->chain(chain_id), group.window, epoch);
       if (cp.qb == nullptr) {
+        cp.qb_shift_base = cache_.LookupShiftBase(
+            &db_->chain(chain_id), group.window, epoch, &cp.qb_shift_delta);
         // Built in the parallel build phase below. The backward pass reads
         // the chain's lazily built transpose cache, which is thread-safe,
         // so no pre-materialization is needed here.
@@ -999,16 +1001,16 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   }
 
   // --- Build phase: construct the cheap engine shells inline, then run
-  // every expensive build — the query-based backward passes, the heads no
-  // pass provides and the explicit-mode M± materializations — as its own
-  // pool task, so even a single-group batch builds its chains' engines in
-  // parallel. Then α(t_b) of every head-reading object, once per
-  // (object, t_b) however many members read it, one pool task each. -------
-  enum class BuildKind { kBackward, kHead, kAugmented };
+  // every expensive build — the query-based backward passes and the heads
+  // no pass provides — as its own pool task, so even a single-group batch
+  // builds its chains' engines in parallel. Then α(t_b) of every
+  // head-reading object, once per (object, t_b) however many members read
+  // it, one pool task each. -------------------------------------------------
+  enum class BuildKind { kBackward, kHead };
   struct EngineBuild {
     BatchGroup* group;
     ChainId chain;
-    BuildKind kind;  // QB backward pass, HeadPass, or force OB's M±
+    BuildKind kind;  // QB backward pass or HeadPass
   };
   std::vector<EngineBuild> builds;
   FilteredStates filtered;
@@ -1024,18 +1026,12 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
         builds.push_back({&group, chain_id, BuildKind::kHead});
       }
       if (cp.want_ob) {
-        cp.ob = std::make_unique<ObjectBasedEngine>(
-            &db_->chain(chain_id), group.window,
-            ObjectBasedOptions{.mode = group.mode});
-        if (group.mode == MatrixMode::kExplicit) {
-          // Force the lazily built M−/M+ before subtasks share the engine.
-          builds.push_back({&group, chain_id, BuildKind::kAugmented});
-        }
+        cp.ob = std::make_unique<ObjectBasedEngine>(&db_->chain(chain_id),
+                                                    group.window);
       }
       if (cp.want_ktimes) {
-        cp.ktimes = std::make_unique<KTimesEngine>(
-            &db_->chain(chain_id), group.window,
-            KTimesOptions{.mode = group.mode});
+        cp.ktimes = std::make_unique<KTimesEngine>(&db_->chain(chain_id),
+                                                   group.window);
       }
     }
     for (const BatchGroup::Member& member : group.members) {
@@ -1060,16 +1056,12 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
                         cp.qb_shift_delta, cp.want_head)
                   : std::make_unique<QueryBasedEngine>(
                         &db_->chain(build.chain), build.group->window,
-                        QueryBasedOptions{.mode = build.group->mode,
-                                          .keep_head = cp.want_head});
+                        QueryBasedOptions{.keep_head = cp.want_head});
           cp.qb = cp.qb_owned.get();
           break;
         case BuildKind::kHead:
           cp.head_owned = QueryBasedEngine::HeadPass(&db_->chain(build.chain),
                                                      build.group->window);
-          break;
-        case BuildKind::kAugmented:
-          (void)cp.ob->augmented();
           break;
       }
     }
@@ -1324,7 +1316,6 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   // refresh of the same dashboard hits a warm cache. Only now, with every
   // member evaluated, may an admission evict a pass this batch borrowed. --
   for (BatchGroup& group : groups) {
-    if (group.mode != MatrixMode::kImplicit) continue;
     for (ChainId chain_id : group.qb_to_build) {
       ChainPlan& cp = group.plans.at(chain_id);
       if (cp.qb_owned != nullptr) {

@@ -18,9 +18,9 @@
 //     (the head is the backward pass's vector at the window's first
 //     time), and by the doubled-state engine otherwise.
 //
-// Requests are grouped by (effective window, matrix mode), each group
-// shares one backward pass (and one engine of every other kind it needs)
-// across all of its members, and groups execute in parallel on the pool.
+// Requests are grouped by effective window, each group shares one
+// backward pass (and one engine of every other kind it needs) across all
+// of its members, and groups execute in parallel on the pool.
 // The amortization the paper's query-based plan promises across *objects*
 // thus extends across *requests*. Run() is a RunBatch() of one member:
 // there is one path to plan, cache, trace and fault-inject.
@@ -64,6 +64,14 @@ struct ExecutorOptions {
   obs::ObsOptions obs;
 };
 
+/// \brief kInvalidArgument unless `window` is over `chain`'s state space:
+/// every engine requires window.region().domain_size() ==
+/// chain.num_states(), and asserts it only in debug builds. The executor
+/// and the service's admission apply it to every chain a request
+/// evaluates, before any engine runs.
+util::Status CheckWindowDomain(const QueryWindow& window,
+                               const markov::MarkovChain& chain);
+
 /// \brief Plans and executes QueryRequests over one Database.
 ///
 /// Owns the thread pool and the engine cache; create one executor per
@@ -93,8 +101,10 @@ class QueryExecutor {
   /// \brief Evaluates `request`: the single result of RunBatch() over that
   /// one request, so every rule below applies to it. See QueryResult for
   /// per-predicate output conventions. Fails with kInvalidArgument on
-  /// out-of-range filter ids and with kUnimplemented for PSTkQ over
-  /// multi-observation objects (outside the paper's framework). Its stats
+  /// out-of-range filter ids or a window over another state count than a
+  /// chain the request evaluates (CheckWindowDomain), and with
+  /// kUnimplemented for PSTkQ over multi-observation objects (outside the
+  /// paper's framework). Its stats
   /// report batch_group_members == 1 and, once it evaluated any object,
   /// group_subtasks >= 1.
   ///
@@ -115,16 +125,15 @@ class QueryExecutor {
   /// \brief Evaluates a batch of requests, amortizing shared work, and
   /// returns one result per request in request order.
   ///
-  /// Requests are grouped by (effective window, matrix mode) — the
-  /// effective window is the complemented region for PST∀Q members, so a
-  /// ∀-request never shares a backward pass with an ∃-request on the same
-  /// region. Each group builds at most one engine per (chain, kind):
-  /// one query-based backward pass serves every member that evaluates the
-  /// chain query-based, one object-based engine every forward member, one
-  /// k-times engine every PSTkQ member. Plan choice is made once per
-  /// (group, chain) by QueryPlanner::PlanBatch, whose cost model amortizes
-  /// the backward pass over the whole group; requests that pin `plan` keep
-  /// their pinned plan.
+  /// Requests are grouped by effective window — the complemented region
+  /// for PST∀Q members, so a ∀-request never shares a backward pass with
+  /// an ∃-request on the same region. Each group builds at most one engine
+  /// per (chain, kind): one query-based backward pass serves every member
+  /// that evaluates the chain query-based, one object-based engine every
+  /// forward member, one k-times engine every PSTkQ member. Plan choice is
+  /// made once per (group, chain) by QueryPlanner::PlanBatch, whose cost
+  /// model amortizes the backward pass over the whole group; requests that
+  /// pin `plan` keep their pinned plan.
   ///
   /// Parallelism is two-phase. First every missing engine — above all the
   /// expensive query-based backward passes — is built, one pool task per
@@ -199,7 +208,7 @@ class QueryExecutor {
 
  private:
   struct ChainPlan;   // per-group, per-chain engine bundle
-  struct BatchGroup;  // requests sharing (effective window, matrix mode)
+  struct BatchGroup;  // requests sharing one effective window
   class Selection;    // non-allocating view of the ids a request evaluates
   struct ExistsEval;  // shared stop/error/counter state of one evaluation
   struct KTimesEval;  // ditto for the k-times evaluation loop
@@ -233,7 +242,11 @@ class QueryExecutor {
   /// The registered metrics collector: every series, read as of now.
   void CollectMetrics(obs::MetricsWriter* out) const;
 
-  util::Status ValidateFilter(const QueryRequest& request) const;
+  /// The admission check of every member: filter ids in range, and the
+  /// window over the state space of every chain the request evaluates —
+  /// each chain holding objects without a filter (O(chains)), each
+  /// filtered object's chain with one (O(filter)).
+  util::Status ValidateRequest(const QueryRequest& request) const;
 
   /// RunBatch body; the public wrapper adds the fault boundary and the one
   /// use of `stats` (one entry per request, filled whatever the member's

@@ -16,20 +16,18 @@
 // P∃ = α(t_b) · h, where α(t_b) is the object's filtered distribution
 // (FilteredDistribution below) and h the head of the window's query-based
 // backward pass (QueryBasedEngine::head()). The executor answers such
-// objects that way; this engine serves the rest (time-interpolation,
-// explicit matrix mode) and is the reference the identity is tested
-// against.
+// objects that way; this engine serves the rest (time-interpolation) and
+// is the reference the identity is tested against.
 
 #ifndef USTDB_CORE_MULTI_OBSERVATION_H_
 #define USTDB_CORE_MULTI_OBSERVATION_H_
 
 #include <vector>
 
-#include "core/absorbing.h"
-#include "core/object_based.h"
 #include "core/query_window.h"
 #include "markov/markov_chain.h"
 #include "sparse/prob_vector.h"
+#include "sparse/types.h"
 #include "util/result.h"
 
 namespace ustdb {
@@ -43,20 +41,6 @@ struct Observation {
   sparse::ProbVector pdf;
 };
 
-/// Tuning knobs for the multi-observation engine.
-struct MultiObservationOptions {
-  MatrixMode mode = MatrixMode::kImplicit;
-  /// If true, renormalize after every observation (the paper's Lemma 1
-  /// presentation). If false, normalize once at the end. The two are equal
-  /// in exact arithmetic only: deferred vectors are never rescaled, so
-  /// every observation shrinks their mass and ProbVector::Compact() drops
-  /// entries below kProbEpsilon that still matter. On a long history the
-  /// deferred mode then drifts or reports the observations inconsistent
-  /// (80 exact observations of a 1,000-state chain do). Keep the default;
-  /// the deferred mode is kept for the short-history equivalence test.
-  bool eager_normalization = true;
-};
-
 /// Posterior summary produced by a multi-observation run.
 struct MultiObsResult {
   /// P∃(o, S□, T□) conditioned on all observations — the fraction of still-
@@ -65,10 +49,20 @@ struct MultiObsResult {
   /// Posterior location distribution at the final processed timestamp
   /// (hit and not-hit parts merged), normalized.
   sparse::ProbVector posterior;
-  /// Unnormalized surviving mass P(B) + P(C); 1 if no conditioning occurred.
-  /// A small value means the observations were nearly contradictory.
+  /// Surviving mass P(B) + P(C): the probability of the later observations
+  /// given the first, i.e. the product of the normalizers applied at each
+  /// of them; 1 if no conditioning occurred. A small value means the
+  /// observations were nearly contradictory.
   double surviving_mass = 0.0;
 };
+
+/// \brief Checks that `observations` is a history `chain` can condition
+/// on: non-empty, every pdf of dimension |S| with positive mass, times
+/// strictly increasing. Returns kInvalidArgument naming the first
+/// violation. Shared by MultiObservationEngine and SmoothedMarginals, which
+/// each add their own check of where the query starts.
+util::Status ValidateObservations(const markov::MarkovChain& chain,
+                                  const std::vector<Observation>& observations);
 
 /// \brief The filtered distribution α(t) = P(o(t) = · | observations) of
 /// an object at a time `t` at or after its last observation: the first
@@ -88,33 +82,25 @@ class MultiObservationEngine {
  public:
   /// \pre window.region().domain_size() == chain->num_states(); `chain`
   /// must outlive the engine.
-  MultiObservationEngine(const markov::MarkovChain* chain, QueryWindow window,
-                         MultiObservationOptions options = {});
+  MultiObservationEngine(const markov::MarkovChain* chain, QueryWindow window);
 
   /// \brief Runs the doubled-state forward pass across all observations.
   ///
   /// \param observations at least one; will be processed in time order
   ///        (must be sorted ascending by time, distinct times; pdfs must
   ///        have dimension |S|). The earliest observation initializes the
-  ///        pass. Fails with kInconsistent if the observations rule out
-  ///        every possible world.
+  ///        pass. Fails with kInvalidArgument on a malformed history (see
+  ///        ValidateObservations), kUnimplemented when the window starts
+  ///        before the first observation, and kInconsistent if the
+  ///        observations rule out every possible world.
   util::Result<MultiObsResult> Evaluate(
       const std::vector<Observation>& observations) const;
 
   const QueryWindow& window() const { return window_; }
 
  private:
-  util::Result<MultiObsResult> RunImplicit(
-      const std::vector<Observation>& observations) const;
-  util::Result<MultiObsResult> RunExplicit(
-      const std::vector<Observation>& observations) const;
-
-  util::Status ValidateObservations(
-      const std::vector<Observation>& observations) const;
-
   const markov::MarkovChain* chain_;
   QueryWindow window_;
-  MultiObservationOptions options_;
 };
 
 }  // namespace core

@@ -8,12 +8,6 @@ namespace core {
 
 namespace {
 
-/// Relative cost of a pass that materializes and multiplies the explicit
-/// M−/M+ pair instead of running the implicit fold (measured ~1.5x in
-/// bench_ablation_matrices; the exact constant only matters near the
-/// break-even point).
-constexpr double kExplicitModeFactor = 1.5;
-
 /// Expected nonzeros of one initial pdf — the per-object dot-product cost
 /// of the query-based plan. Object spreads are small (Table I uses 5); the
 /// constant only needs to keep the dot term from vanishing entirely.
@@ -53,21 +47,19 @@ constexpr double kExpectedRefineFraction = 0.5;
 }  // namespace
 
 double QueryPlanner::PassCost(const markov::MarkovChain& chain,
-                              const QueryWindow& window, MatrixMode mode) {
+                              const QueryWindow& window) {
   // Temporal reach: every plan must propagate from t=0 to max(T□).
   const double transitions = std::max<double>(1.0, window.t_end());
   const double entries_per_step =
       std::max<double>(1.0, static_cast<double>(chain.matrix().nnz()));
-  const double mode_factor =
-      mode == MatrixMode::kExplicit ? kExplicitModeFactor : 1.0;
-  return transitions * entries_per_step * mode_factor;
+  return transitions * entries_per_step;
 }
 
 PlanDecision QueryPlanner::PlanBatch(
-    ChainId chain, const QueryWindow& window, MatrixMode mode,
+    ChainId chain, const QueryWindow& window,
     std::span<const MemberLoad> members) const {
   PlanDecision decision;
-  const double pass = PassCost(db_->chain(chain), window, mode);
+  const double pass = PassCost(db_->chain(chain), window);
 
   // OB: one full pass per object per member — discounted when
   // τ-termination applies. QB: one backward pass shared by the whole
@@ -93,7 +85,7 @@ PlanDecision QueryPlanner::PlanBatch(
 }
 
 PlanDecision QueryPlanner::ChooseThresholdPlan(
-    const QueryWindow& window, MatrixMode mode, PlanChoice directive,
+    const QueryWindow& window, PlanChoice directive,
     std::span<const ChainLoad> loads) const {
   PlanDecision decision;
 
@@ -107,8 +99,7 @@ PlanDecision QueryPlanner::ChooseThresholdPlan(
   for (const ChainLoad& load : loads) {
     const MemberLoad member{PredicateKind::kThresholdExists,
                             load.num_objects};
-    const PlanDecision per_chain =
-        PlanBatch(load.chain, window, mode, {&member, 1});
+    const PlanDecision per_chain = PlanBatch(load.chain, window, {&member, 1});
     decision.cost.object_based += per_chain.cost.object_based;
     decision.cost.query_based += per_chain.cost.query_based;
     best_single += std::min(per_chain.cost.object_based,
@@ -121,8 +112,7 @@ PlanDecision QueryPlanner::ChooseThresholdPlan(
     // One interval pass per cluster, priced from its widest member (the
     // envelope's union support is at least that wide).
     const uint32_t cluster = db_->cluster_of(load.chain);
-    const double member_pass =
-        PassCost(db_->chain(load.chain), window, MatrixMode::kImplicit);
+    const double member_pass = PassCost(db_->chain(load.chain), window);
     double& pass = cluster_pass[cluster];
     pass = std::max(pass, kIntervalPassFactor * kEnvelopeNnzFactor *
                               member_pass);

@@ -5,15 +5,14 @@
 // object-based plan (V-A) pays one full forward pass per object, the
 // query-based plan (V-B) pays one backward pass per chain class plus one
 // sparse dot product per object. Which wins therefore depends on the
-// database statistics (objects per chain), the window's temporal reach
-// (transitions per pass), and the matrix mode (explicit M± materialization
-// makes each pass more expensive).
+// database statistics (objects per chain) and the window's temporal reach
+// (transitions per pass).
 //
-// A batch of requests sharing one (window, matrix-mode) key shifts the
-// trade-off further: the backward pass is paid once for the whole group,
-// so PlanBatch() amortizes it over every member request while the
-// object-based side still pays per member and per object. A single
-// request is a group of one. Plan directives (a pinned OB/QB plan) are
+// A batch of requests sharing one window shifts the trade-off further:
+// the backward pass is paid once for the whole group, so PlanBatch()
+// amortizes it over every member request while the object-based side
+// still pays per member and per object. A single request is a group of
+// one. Plan directives (a pinned OB/QB plan) are
 // honored by the executor, which leaves pinned members out of the loads.
 
 #ifndef USTDB_CORE_PLANNER_H_
@@ -85,8 +84,7 @@ class QueryPlanner {
   explicit QueryPlanner(const Database* db) : db_(db) {}
 
   /// \brief Batch-aware plan decision for one chain class shared by every
-  /// member of a RunBatch group (requests with identical effective window
-  /// and matrix mode).
+  /// member of a RunBatch group (requests with identical effective window).
   ///
   /// Cost model: the object-based side pays one forward pass per object
   /// per member — sum over members of n_m × t_end × nnz, discounted for
@@ -99,12 +97,10 @@ class QueryPlanner {
   /// \param chain the chain class being planned.
   /// \param window the group's effective window (only its temporal reach,
   ///        max T□, enters the cost).
-  /// \param mode the group's matrix mode (kExplicit scales up every pass).
   /// \param members per-member loads; only members that left plan choice
   ///        to the planner belong here (forced members bypass the model).
   ///        An empty span yields the object-based plan at zero cost.
   PlanDecision PlanBatch(ChainId chain, const QueryWindow& window,
-                         MatrixMode mode,
                          std::span<const MemberLoad> members) const;
 
   /// \brief Whole-request decision for kThresholdExists: prices the
@@ -123,20 +119,17 @@ class QueryPlanner {
   /// non-degenerate time range) — the cost model does not inspect it.
   ///
   /// \param window the request window (temporal reach enters every cost).
-  /// \param mode the request matrix mode (kExplicit scales refine passes).
   /// \param directive the request's PlanChoice; kBoundsThenRefine forces.
   /// \param loads per-chain single-observation object counts.
-  PlanDecision ChooseThresholdPlan(const QueryWindow& window, MatrixMode mode,
+  PlanDecision ChooseThresholdPlan(const QueryWindow& window,
                                    PlanChoice directive,
                                    std::span<const ChainLoad> loads) const;
 
   /// \brief Cost of one forward or backward pass over `chain` for
   /// `window`: transitions (the window's temporal reach, max T□) times the
-  /// matrix entries touched per transition — t_end × nnz — scaled up under
-  /// kExplicit mode which materializes and multiplies the augmented M−/M+
-  /// pair.
+  /// matrix entries touched per transition — t_end × nnz.
   static double PassCost(const markov::MarkovChain& chain,
-                         const QueryWindow& window, MatrixMode mode);
+                         const QueryWindow& window);
 
   /// The database whose statistics feed the cost model.
   const Database& db() const { return *db_; }

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/object_based.h"
 #include "core/query_window.h"
 #include "obs/trace.h"
 #include "sparse/types.h"
@@ -166,8 +165,6 @@ struct QueryRequest {
   /// Plan directive; kAuto lets the planner decide per chain class (and,
   /// for kThresholdExists, consider the whole-request cluster-bound plan).
   PlanChoice plan = PlanChoice::kAuto;
-  /// Absorbing-state realization passed through to every engine.
-  MatrixMode matrix_mode = MatrixMode::kImplicit;
 
   /// Restricts evaluation to these object ids (any order, no duplicates).
   /// nullopt evaluates the whole database; an empty vector evaluates

@@ -12,27 +12,12 @@ namespace core {
 
 namespace {
 
-util::Status ValidateObservations(const markov::MarkovChain& chain,
-                                  const std::vector<Observation>& obs,
-                                  Timestamp t_horizon) {
-  if (obs.empty()) {
-    return util::Status::InvalidArgument("at least one observation required");
-  }
-  for (size_t i = 0; i < obs.size(); ++i) {
-    if (obs[i].pdf.size() != chain.num_states()) {
-      return util::Status::InvalidArgument(util::StringPrintf(
-          "observation %zu has pdf dimension %u, expected %u", i,
-          obs[i].pdf.size(), chain.num_states()));
-    }
-    if (obs[i].pdf.Sum() <= 0.0) {
-      return util::Status::InvalidArgument(
-          util::StringPrintf("observation %zu has zero mass", i));
-    }
-    if (i > 0 && obs[i].time <= obs[i - 1].time) {
-      return util::Status::InvalidArgument(
-          "observations must be sorted by strictly increasing time");
-    }
-  }
+/// The shared history checks plus smoothing's own: the horizon must not
+/// end before the first observation.
+util::Status ValidateSmoothingInput(const markov::MarkovChain& chain,
+                                    const std::vector<Observation>& obs,
+                                    Timestamp t_horizon) {
+  USTDB_RETURN_NOT_OK(ValidateObservations(chain, obs));
   if (t_horizon < obs.front().time) {
     return util::Status::InvalidArgument(
         "horizon ends before the first observation");
@@ -53,7 +38,8 @@ int ObservationAt(const std::vector<Observation>& obs, Timestamp t) {
 util::Result<SmoothingResult> SmoothedMarginals(
     const markov::MarkovChain& chain,
     const std::vector<Observation>& observations, Timestamp t_horizon) {
-  USTDB_RETURN_NOT_OK(ValidateObservations(chain, observations, t_horizon));
+  USTDB_RETURN_NOT_OK(
+      ValidateSmoothingInput(chain, observations, t_horizon));
   const uint32_t n = chain.num_states();
   const Timestamp t_start = observations.front().time;
   const Timestamp t_last = std::max(t_horizon, observations.back().time);
@@ -118,7 +104,8 @@ util::Result<SmoothingResult> SmoothedMarginals(
 util::Result<ViterbiResult> MostLikelyTrajectory(
     const markov::MarkovChain& chain,
     const std::vector<Observation>& observations, Timestamp t_horizon) {
-  USTDB_RETURN_NOT_OK(ValidateObservations(chain, observations, t_horizon));
+  USTDB_RETURN_NOT_OK(
+      ValidateSmoothingInput(chain, observations, t_horizon));
   const uint32_t n = chain.num_states();
   const Timestamp t_start = observations.front().time;
   const Timestamp t_last = std::max(t_horizon, observations.back().time);

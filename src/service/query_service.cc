@@ -428,13 +428,44 @@ std::shared_ptr<TicketState> QueryService::PrepareState(
   return state;
 }
 
+util::Status QueryService::ValidateRequest(
+    const core::QueryRequest& request) const {
+  // The executor's own check (QueryExecutor::ValidateRequest) over global
+  // ids, with the same messages. Reading an object's chain races no
+  // append: appends touch only its observation history.
+  if (!request.object_filter.has_value()) {
+    for (uint32_t s = 0; s < sharded_->num_shards(); ++s) {
+      const core::Database& db = sharded_->shard(s);
+      for (ChainId c = 0; c < db.num_chains(); ++c) {
+        if (db.objects_by_chain()[c].empty()) continue;
+        USTDB_RETURN_NOT_OK(core::CheckWindowDomain(request.window,
+                                                    db.chain(c)));
+      }
+    }
+    return util::Status::OK();
+  }
+  for (ObjectId global : *request.object_filter) {
+    if (global >= sharded_->num_objects()) {
+      return util::Status::InvalidArgument(
+          "object_filter references an id outside the database");
+    }
+    const core::Database& db =
+        sharded_->shard(sharded_->shard_of_object(global));
+    USTDB_RETURN_NOT_OK(core::CheckWindowDomain(
+        request.window,
+        db.chain(db.object(sharded_->local_object(global)).chain)));
+  }
+  return util::Status::OK();
+}
+
 util::Status QueryService::BuildRoute(
     const std::shared_ptr<TicketState>& state,
     std::shared_ptr<GatherState>* out) const {
+  const core::QueryRequest& req = state->request;
+  USTDB_RETURN_NOT_OK(ValidateRequest(req));
   auto gather = std::make_shared<GatherState>();
   gather->parent = state;
 
-  const core::QueryRequest& req = state->request;
   const uint32_t num_shards = sharded_->num_shards();
   const bool filtered = req.object_filter.has_value();
 
@@ -447,11 +478,6 @@ util::Status QueryService::BuildRoute(
   if (filtered) {
     for (size_t p = 0; p < req.object_filter->size(); ++p) {
       const ObjectId global = (*req.object_filter)[p];
-      if (global >= sharded_->num_objects()) {
-        // Same error the executor reports on an untranslatable filter.
-        return util::Status::InvalidArgument(
-            "object_filter references an id outside the database");
-      }
       const uint32_t s = sharded_->shard_of_object(global);
       filters[s].push_back(sharded_->local_object(global));
       positions[s].push_back(static_cast<ObjectId>(p));
@@ -505,8 +531,8 @@ util::Status QueryService::BuildRoute(
         loads.push_back({chain, count});
       }
       const core::QueryPlanner planner(&sharded_->routing_db());
-      const core::PlanDecision decision = planner.ChooseThresholdPlan(
-          req.window, req.matrix_mode, req.plan, loads);
+      const core::PlanDecision decision =
+          planner.ChooseThresholdPlan(req.window, req.plan, loads);
       pinned = decision.plan == core::Plan::kBoundsThenRefine
                    ? core::PlanChoice::kBoundsThenRefine
                    : core::PlanChoice::kAutoPerChain;
@@ -522,7 +548,6 @@ util::Status QueryService::BuildRoute(
     sub.request.tau = req.tau;
     sub.request.k = req.k;
     sub.request.plan = pinned;
-    sub.request.matrix_mode = req.matrix_mode;
     sub.request.degrade = req.degrade;
     if (filtered) sub.request.object_filter = std::move(filters[s]);
     sub.request.cancel = req.cancel;  // the parent-linked token
@@ -977,8 +1002,8 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   const bool timing = options_.obs.enabled || any_traced;
 
   // One RunBatch per drain, whether it holds one entry or many. The
-  // executor groups members by (effective window, matrix mode) internally,
-  // so every same-window subset shares one backward pass per chain.
+  // executor groups members by effective window internally, so every
+  // same-window subset shares one backward pass per chain.
   std::vector<core::QueryRequest> requests;
   requests.reserve(runnable.size());
   for (ShardTask& task : runnable) {
@@ -1373,6 +1398,7 @@ util::Result<Subscription> QueryService::Subscribe(
   if (callback == nullptr) {
     return util::Status::InvalidArgument("subscription callback is null");
   }
+  USTDB_RETURN_NOT_OK(ValidateRequest(request));
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stopping_) {

@@ -412,9 +412,10 @@ class QueryService {
   /// immediately with Status::DeadlineExceeded; a full lane either rejects
   /// (Status::Unavailable) or blocks, per BackpressurePolicy; after
   /// Shutdown() every submission resolves with Status::Unavailable. An
-  /// object_filter referencing an id outside the database resolves with
-  /// Status::InvalidArgument at submission (the router cannot translate
-  /// it).
+  /// object_filter referencing an id outside the database (the router
+  /// cannot translate it), or a window over another state count than a
+  /// chain the request evaluates, resolves with Status::InvalidArgument
+  /// at submission.
   QueryTicket Submit(core::QueryRequest request,
                      Priority priority = Priority::kInteractive);
 
@@ -452,9 +453,11 @@ class QueryService {
   /// pipeline — answers are bit-identical to a one-shot Submit() at the
   /// same epoch — and delivers the answer-set delta to `callback`.
   /// kKTimes requests are rejected (kInvalidArgument): distribution
-  /// answers have no set-delta form. The request's own trace/cancel
-  /// fields are ignored; refresh sub-requests get service-sampled traces
-  /// like any submission.
+  /// answers have no set-delta form. So is a request Submit() would
+  /// refuse at routing (out-of-range filter id, window over another state
+  /// count), which no refresh could ever answer; a rejected request
+  /// registers nothing. The request's own trace/cancel fields are ignored;
+  /// refresh sub-requests get service-sampled traces like any submission.
   util::Result<Subscription> Subscribe(core::QueryRequest request,
                                        WindowPolicy policy,
                                        SubscriptionCallback callback);
@@ -530,9 +533,15 @@ class QueryService {
   /// every refused request before returning.
   std::vector<QueryTicket> Admit(std::vector<core::QueryRequest> requests,
                                  Priority priority, bool allow_block);
+  /// The admission check shared by BuildRoute and Subscribe: every
+  /// object_filter id is in range, and the window is over the state space
+  /// of every chain the request evaluates (core::CheckWindowDomain) —
+  /// each chain holding objects without a filter (O(chains)), each
+  /// filtered object's chain with one (O(filter)).
+  util::Status ValidateRequest(const core::QueryRequest& request) const;
   /// Builds the gather (sub-requests, merge metadata, plan pinning) for
   /// one prepared parent. Returns non-OK — without touching any queue —
-  /// when the request cannot be routed (invalid object_filter).
+  /// when the request cannot be routed (ValidateRequest).
   util::Status BuildRoute(const std::shared_ptr<internal::TicketState>& state,
                           std::shared_ptr<internal::GatherState>* out) const;
   /// Appends every sub of `gather` to its target lane under `lock`,

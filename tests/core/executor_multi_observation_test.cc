@@ -613,16 +613,6 @@ TEST(ExecutorMultiObservationTest, LaterObservationsKeepDoubledStateEngine) {
   EXPECT_NEAR(ById(result.value()).at(preceding),
               Reference(db, preceding, window), kParity);
 
-  // Explicit matrix mode keeps the doubled-state engine for every object.
-  QueryRequest explicit_mode = request;
-  explicit_mode.matrix_mode = MatrixMode::kExplicit;
-  explicit_mode.trace = std::make_shared<obs::QueryTrace>();
-  const auto explicit_result = exec.Run(explicit_mode);
-  ASSERT_TRUE(explicit_result.ok()) << explicit_result.status();
-  EXPECT_EQ(ViaHead(*explicit_mode.trace), 0);
-  EXPECT_NEAR(ById(explicit_result.value()).at(preceding),
-              ById(result.value()).at(preceding), kParity);
-
   // A window that starts before the first observation is still outside the
   // paper's framework.
   QueryRequest early = request;

@@ -249,6 +249,90 @@ TEST(ExecutorTest, ObjectFilterRestrictsEvaluation) {
   EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+// The engines only assert that the window is over their chain's state
+// space; unchecked, a backward pass over a 400-state window reads and
+// writes past a 50-state chain's vectors. Every plan refuses the request
+// before any engine runs.
+TEST(ExecutorTest, WindowOverAnotherStateCountIsRejected) {
+  Database db = MakeDb(2, 16, 913, 50);
+  QueryExecutor executor(&db, {.num_threads = 1});
+  struct Case {
+    const char* name;
+    PredicateKind predicate;
+    PlanChoice plan;
+    DegradeMode degrade;
+  };
+  const Case cases[] = {
+      {"qb", PredicateKind::kExists, PlanChoice::kQueryBased,
+       DegradeMode::kNever},
+      {"ob", PredicateKind::kExists, PlanChoice::kObjectBased,
+       DegradeMode::kNever},
+      {"bounds", PredicateKind::kThresholdExists,
+       PlanChoice::kBoundsThenRefine, DegradeMode::kNever},
+      {"bounds_only", PredicateKind::kThresholdExists, PlanChoice::kAuto,
+       DegradeMode::kBoundsOnly},
+      {"ktimes", PredicateKind::kKTimes, PlanChoice::kAuto,
+       DegradeMode::kNever},
+  };
+  for (const Case& c : cases) {
+    QueryRequest request;
+    request.predicate = c.predicate;
+    request.window = QueryWindow::FromRanges(400, 360, 399, 2, 6).ValueOrDie();
+    request.tau = 0.2;
+    request.plan = c.plan;
+    request.degrade = c.degrade;
+    const auto result = executor.Run(request);
+    ASSERT_FALSE(result.ok()) << c.name;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument)
+        << c.name;
+    EXPECT_EQ(result.status().message(),
+              "query window is over 400 states, but an evaluated object's "
+              "chain has 50")
+        << c.name;
+  }
+}
+
+// Only chains the request evaluates are checked: every chain holding
+// objects without a filter, the filtered objects' chains with one.
+TEST(ExecutorTest, WindowDomainIsCheckedOnEvaluatedChainsOnly) {
+  util::Rng rng(914);
+  Database db;
+  const ChainId small = db.AddChain(RandomChain(25, 3, &rng));
+  (void)db.AddChain(RandomChain(40, 3, &rng));  // holds no object
+  for (uint32_t i = 0; i < 4; ++i) {
+    (void)db.AddObjectAt(small, RandomDistribution(25, 3, &rng)).ValueOrDie();
+  }
+  QueryRequest request;
+  request.window = Window();
+  request.plan = PlanChoice::kQueryBased;
+  const auto all_small = QueryExecutor(&db, {.num_threads = 1}).Run(request);
+  ASSERT_TRUE(all_small.ok()) << all_small.status();
+
+  const ChainId large = db.AddChain(RandomChain(50, 3, &rng));
+  for (uint32_t i = 0; i < 4; ++i) {
+    (void)db.AddObjectAt(large, RandomDistribution(50, 3, &rng)).ValueOrDie();
+  }
+  QueryExecutor mixed(&db, {.num_threads = 1});
+  const auto unfiltered = mixed.Run(request);
+  ASSERT_FALSE(unfiltered.ok());
+  EXPECT_EQ(unfiltered.status().code(), util::StatusCode::kInvalidArgument);
+
+  request.object_filter = std::vector<ObjectId>{3, 0};
+  const auto small_only = mixed.Run(request);
+  ASSERT_TRUE(small_only.ok()) << small_only.status();
+  ASSERT_EQ(small_only.value().probabilities.size(), 2u);
+  EXPECT_EQ(small_only.value().probabilities[0].probability,
+            all_small.value().probabilities[3].probability);
+  EXPECT_EQ(small_only.value().probabilities[1].probability,
+            all_small.value().probabilities[0].probability);
+
+  request.object_filter = std::vector<ObjectId>{0, 5};
+  const auto reaches_large = mixed.Run(request);
+  ASSERT_FALSE(reaches_large.ok());
+  EXPECT_EQ(reaches_large.status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
 TEST(ExecutorTest, AutoPlanFollowsDatabaseShape) {
   const QueryWindow window = Window();
   // One object per chain: every chain class should run object-based.
@@ -392,24 +476,6 @@ TEST(ExecutorTest, CacheAdmissionNeverEvictsABorrowedPass) {
     EXPECT_EQ(got.probabilities[i].probability,
               want.probabilities[i].probability)
         << "object " << i;
-  }
-}
-
-TEST(ExecutorTest, CacheBypassedForExplicitModeStaysCorrect) {
-  Database db = MakeDb(1, 8, 910);
-  QueryExecutor executor(&db, {.num_threads = 1});
-  QueryRequest request;
-  request.window = Window();
-  request.plan = PlanChoice::kQueryBased;
-  const auto implicit = executor.Run(request).ValueOrDie();
-  request.matrix_mode = MatrixMode::kExplicit;
-  const auto explicit_run = executor.Run(request).ValueOrDie();
-  // Explicit runs never consult the cache (entries are implicit-mode).
-  EXPECT_EQ(explicit_run.stats.cache_hits, 0u);
-  EXPECT_EQ(explicit_run.stats.cache_misses, 0u);
-  for (size_t i = 0; i < implicit.probabilities.size(); ++i) {
-    EXPECT_NEAR(explicit_run.probabilities[i].probability,
-                implicit.probabilities[i].probability, 1e-10);
   }
 }
 

@@ -45,8 +45,7 @@ PlanDecision PlanOne(const QueryPlanner& planner, PredicateKind predicate,
                      uint32_t n) {
   const QueryRequest request = ExistsRequest();
   const MemberLoad load{predicate, n};
-  return planner.PlanBatch(0, request.window, request.matrix_mode,
-                           {&load, 1});
+  return planner.PlanBatch(0, request.window, {&load, 1});
 }
 
 TEST(PlannerTest, SingleObjectChainPrefersObjectBased) {
@@ -76,27 +75,14 @@ TEST(PlannerTest, ObjectBasedCostScalesLinearlyWithObjects) {
   EXPECT_LT(ten.query_based - one.query_based, one.query_based);
 }
 
-TEST(PlannerTest, ExplicitModeRaisesPassCost) {
-  Database db = MakeDb(1, 1, 15);
-  const QueryWindow window =
-      QueryWindow::FromRanges(25, 6, 12, 3, 8).ValueOrDie();
-  const double implicit =
-      QueryPlanner::PassCost(db.chain(0), window, MatrixMode::kImplicit);
-  const double explicit_cost =
-      QueryPlanner::PassCost(db.chain(0), window, MatrixMode::kExplicit);
-  EXPECT_GT(explicit_cost, implicit);
-}
-
 TEST(PlannerTest, LongerReachRaisesPassCost) {
   Database db = MakeDb(1, 1, 16);
   const QueryWindow near_window =
       QueryWindow::FromRanges(25, 6, 12, 1, 3).ValueOrDie();
   const QueryWindow far_window =
       QueryWindow::FromRanges(25, 6, 12, 1, 30).ValueOrDie();
-  EXPECT_GT(
-      QueryPlanner::PassCost(db.chain(0), far_window, MatrixMode::kImplicit),
-      QueryPlanner::PassCost(db.chain(0), near_window,
-                             MatrixMode::kImplicit));
+  EXPECT_GT(QueryPlanner::PassCost(db.chain(0), far_window),
+            QueryPlanner::PassCost(db.chain(0), near_window));
 }
 
 TEST(PlannerTest, PlanBatchAmortizesThePassAcrossMembers) {
@@ -112,22 +98,16 @@ TEST(PlannerTest, PlanBatchAmortizesThePassAcrossMembers) {
   Plan plan = Plan::kObjectBased;
   while (plan == Plan::kObjectBased && members.size() < 64) {
     members.push_back({PredicateKind::kExists, 1});
-    plan = planner
-               .PlanBatch(0, request.window, request.matrix_mode, members)
-               .plan;
+    plan = planner.PlanBatch(0, request.window, members).plan;
   }
   EXPECT_EQ(plan, Plan::kQueryBased);
   EXPECT_GT(members.size(), 1u);  // one member alone stays OB
 
   // The QB side grows only by dot products as the group grows.
-  const CostEstimate big = planner
-                               .PlanBatch(0, request.window,
-                                          request.matrix_mode, members)
-                               .cost;
+  const CostEstimate big = planner.PlanBatch(0, request.window, members).cost;
   const MemberLoad one{PredicateKind::kExists, 1};
   const CostEstimate small =
-      planner.PlanBatch(0, request.window, request.matrix_mode, {&one, 1})
-          .cost;
+      planner.PlanBatch(0, request.window, {&one, 1}).cost;
   EXPECT_NEAR(big.object_based,
               static_cast<double>(members.size()) * small.object_based,
               1e-9);
@@ -143,10 +123,8 @@ TEST(PlannerTest, PlanBatchMixedPredicatesDiscountThresholdMembers) {
                                          {PredicateKind::kExists, 4}};
   const std::vector<MemberLoad> mixed = {{PredicateKind::kExists, 4},
                                          {PredicateKind::kThresholdExists, 4}};
-  const CostEstimate p =
-      planner.PlanBatch(0, window, MatrixMode::kImplicit, plain).cost;
-  const CostEstimate m =
-      planner.PlanBatch(0, window, MatrixMode::kImplicit, mixed).cost;
+  const CostEstimate p = planner.PlanBatch(0, window, plain).cost;
+  const CostEstimate m = planner.PlanBatch(0, window, mixed).cost;
   EXPECT_LT(m.object_based, p.object_based);
   EXPECT_DOUBLE_EQ(m.query_based, p.query_based);
 }
@@ -154,8 +132,7 @@ TEST(PlannerTest, PlanBatchMixedPredicatesDiscountThresholdMembers) {
 TEST(PlannerTest, PlanBatchEmptyGroupIsObjectBasedAtZeroCost) {
   Database db = MakeDb(1, 1, 21);
   QueryPlanner planner(&db);
-  const PlanDecision d = planner.PlanBatch(
-      0, ExistsRequest().window, MatrixMode::kImplicit, {});
+  const PlanDecision d = planner.PlanBatch(0, ExistsRequest().window, {});
   EXPECT_EQ(d.plan, Plan::kObjectBased);
   EXPECT_DOUBLE_EQ(d.cost.object_based, 0.0);
 }
@@ -205,8 +182,8 @@ TEST(PlannerTest, ThresholdPlanPicksBoundsForManySimilarChains) {
   QueryPlanner planner(&db);
   const QueryWindow window =
       QueryWindow::FromRanges(25, 6, 12, 3, 8).ValueOrDie();
-  const PlanDecision d = planner.ChooseThresholdPlan(
-      window, MatrixMode::kImplicit, PlanChoice::kAuto, LoadsOf(db));
+  const PlanDecision d =
+      planner.ChooseThresholdPlan(window, PlanChoice::kAuto, LoadsOf(db));
   EXPECT_EQ(d.plan, Plan::kBoundsThenRefine);
   EXPECT_FALSE(d.forced);
   EXPECT_LT(d.cost.bounds_then_refine,
@@ -221,8 +198,8 @@ TEST(PlannerTest, ThresholdPlanKeepsSingleChainWorkloadsPerChain) {
   QueryPlanner planner(&db);
   const QueryWindow window =
       QueryWindow::FromRanges(25, 6, 12, 3, 8).ValueOrDie();
-  const PlanDecision d = planner.ChooseThresholdPlan(
-      window, MatrixMode::kImplicit, PlanChoice::kAuto, LoadsOf(db));
+  const PlanDecision d =
+      planner.ChooseThresholdPlan(window, PlanChoice::kAuto, LoadsOf(db));
   EXPECT_NE(d.plan, Plan::kBoundsThenRefine);
   EXPECT_GT(d.cost.bounds_then_refine, 0.0);
 }
@@ -233,8 +210,7 @@ TEST(PlannerTest, ThresholdPlanHonorsForcedDirective) {
   const QueryWindow window =
       QueryWindow::FromRanges(25, 6, 12, 3, 8).ValueOrDie();
   const PlanDecision d = planner.ChooseThresholdPlan(
-      window, MatrixMode::kImplicit, PlanChoice::kBoundsThenRefine,
-      LoadsOf(db));
+      window, PlanChoice::kBoundsThenRefine, LoadsOf(db));
   EXPECT_EQ(d.plan, Plan::kBoundsThenRefine);
   EXPECT_TRUE(d.forced);
 }
@@ -244,8 +220,8 @@ TEST(PlannerTest, ThresholdPlanEmptyLoadsNeverBounds) {
   QueryPlanner planner(&db);
   const QueryWindow window =
       QueryWindow::FromRanges(25, 6, 12, 3, 8).ValueOrDie();
-  const PlanDecision d = planner.ChooseThresholdPlan(
-      window, MatrixMode::kImplicit, PlanChoice::kAuto, {});
+  const PlanDecision d =
+      planner.ChooseThresholdPlan(window, PlanChoice::kAuto, {});
   EXPECT_NE(d.plan, Plan::kBoundsThenRefine);
   EXPECT_DOUBLE_EQ(d.cost.bounds_then_refine, 0.0);
 }

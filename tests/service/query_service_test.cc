@@ -5,7 +5,8 @@
 // deterministic queue states with Pause() + Resume(). The admission
 // refusals (expired deadline, shutdown, injected fault, unroutable
 // filter, full lane) run through both entry points, Submit and a
-// one-request SubmitBurst: same status, same message, same counters.
+// one-request SubmitBurst: same status, same message, same counters; the
+// window-domain refusal also at two shards.
 
 #include "service/query_service.h"
 
@@ -468,6 +469,55 @@ TEST(QueryServiceTest, OutOfRangeFilterResolvesAtSubmit) {
     EXPECT_EQ(service.queue_depth(), 0u);
   }
   ExpectSameRefusal(refusals[0], refusals[1]);
+}
+
+/// A window over another state count than the chains a request evaluates
+/// cannot be answered: the engines only assert the match, and unchecked a
+/// 400-state window against 50-state chains crashes a shard. It resolves
+/// kInvalidArgument at submission with the executor's message — filtered
+/// or not, at 1 and 2 shards — and never reaches a dispatcher.
+TEST(QueryServiceTest, WindowOverAnotherStateCountResolvesAtSubmit) {
+  constexpr uint32_t kChainStates = 50;
+  for (uint32_t num_shards : {1u, 2u}) {
+    SCOPED_TRACE(num_shards);
+    util::Rng rng(38);
+    core::ShardedDatabase db(core::ShardingOptions{.num_shards = num_shards});
+    for (uint32_t c = 0; c < 4; ++c) {
+      const ChainId chain = db.AddChain(RandomChain(kChainStates, 3, &rng));
+      for (uint32_t i = 0; i < 8; ++i) {
+        (void)db.AddObjectAt(chain, RandomDistribution(kChainStates, 3, &rng))
+            .ValueOrDie();
+      }
+    }
+    core::QueryRequest unfiltered;
+    unfiltered.predicate = core::PredicateKind::kThresholdExists;
+    unfiltered.window =
+        core::QueryWindow::FromRanges(400, 360, 399, 2, 6).ValueOrDie();
+    unfiltered.tau = 0.2;
+    core::QueryRequest filtered = unfiltered;
+    filtered.object_filter = std::vector<ObjectId>{31};
+
+    std::vector<Refusal> refusals;
+    for (const core::QueryRequest& request : {unfiltered, filtered}) {
+      for (Entry entry : kEntries) {
+        QueryService service(&db, OneThreadOptions());
+        service.Pause();
+        QueryTicket ticket = SubmitVia(entry, &service, request);
+        ASSERT_TRUE(ticket.resolved());  // refused before any queue
+        refusals.push_back(Refused(&ticket, service));
+        EXPECT_EQ(refusals.back().stats.failed, 1u);
+        EXPECT_EQ(service.queue_depth(), 0u);
+      }
+      ExpectSameRefusal(refusals[refusals.size() - 2], refusals.back());
+    }
+    const auto executor_verdict =
+        core::QueryExecutor(&db.shard(0), {.num_threads = 1}).Run(unfiltered);
+    ASSERT_FALSE(executor_verdict.ok());
+    for (const Refusal& refusal : refusals) {
+      EXPECT_EQ(refusal.status.code(), util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(refusal.status.message(), executor_verdict.status().message());
+    }
+  }
 }
 
 /// A caller-set bounds-only answer of any predicate is the executor's

@@ -126,6 +126,30 @@ TEST(SubscriptionTest, RejectsKTimesAndNullCallback) {
   EXPECT_EQ(service.num_subscriptions(), 0u);
 }
 
+/// A request Submit() refuses at routing can never be answered. Subscribe
+/// rejects it up front, registering nothing, rather than keeping a
+/// subscription whose every refresh fails and re-marks it dirty.
+TEST(SubscriptionTest, RejectsRequestsSubmitWouldRefuse) {
+  Monitor m(ustdb::testing::TestSeed(912), /*num_objects=*/8);
+  QueryService service(&m.db);
+
+  core::QueryRequest out_of_range = ThresholdRequest();
+  out_of_range.object_filter = std::vector<ObjectId>{1, 999};
+  core::QueryRequest wrong_domain = ThresholdRequest();
+  wrong_domain.window =
+      core::QueryWindow::FromRanges(400, 360, 399, 1, 5).ValueOrDie();
+  for (const core::QueryRequest& request : {out_of_range, wrong_domain}) {
+    const uint64_t submitted = service.stats().submitted;
+    const auto rejected = service.Subscribe(
+        request, WindowPolicy{}, [](const SubscriptionDelta&) {});
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.num_subscriptions(), 0u);
+    EXPECT_EQ(service.RefreshSubscriptions(), 0u);
+    EXPECT_EQ(service.stats().submitted, submitted);
+  }
+}
+
 TEST(SubscriptionTest, FirstDeliveryReportsFullAnswerAsEntered) {
   const uint64_t seed = ustdb::testing::TestSeed(902);
   SCOPED_TRACE(ustdb::testing::SeedTrace(seed));
@@ -291,11 +315,11 @@ TEST(SubscriptionTest, FailedRefreshKeepsSequencesGapFree) {
   Monitor m(seed, /*num_objects=*/8);
   QueryService service(&m.db);
 
-  // A request the service deterministically rejects (out-of-range
-  // filter id): every refresh of this subscription fails, so it stays
-  // dirty and its sequence never advances — no delivered gap.
+  // A request the service deterministically rejects (its deadline has
+  // passed): every refresh of this subscription fails, so it stays dirty
+  // and its sequence never advances — no delivered gap.
   core::QueryRequest broken = ThresholdRequest();
-  broken.object_filter = std::vector<ObjectId>{0, 100};
+  broken.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
   size_t broken_count = 0;
   auto bad = service.Subscribe(
       std::move(broken), WindowPolicy{.slide = 0},
