@@ -9,9 +9,14 @@
 //
 // The bench models a monitoring deployment: one long-lived executor
 // serves a stream of shifted threshold windows (fig9-style start-time
-// sweep). Every window is distinct, so neither plan ever re-uses a
-// window-keyed backward pass — but the envelope is window-independent
-// and stays cached, exactly the asymmetry Section V-C exploits. A short
+// sweep). Every window is distinct, but each is the previous one shifted
+// by one step, so the per-chain plan builds each backward pass by
+// extending the cached pass of the previous window by that step
+// (EngineCache::LookupShiftBase), while the interval bound pass is rebuilt
+// in full for every window; only the envelope is window-independent and
+// cached as is. On a 4-core AVX2 host (2026-10, 3 runs) speedup_bounds
+// read 0.29-0.48 @16 and 0.56-0.59 @32, below the baseline floors (ROADMAP
+// item 2: shift-extend the bound pass, price cached passes). A short
 // untimed warm-up stream first populates the window-independent state
 // both plans amortize in steady serving (memoized transposes; the
 // envelope), then kWindows fresh windows are timed. Sweeping the number

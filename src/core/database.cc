@@ -76,6 +76,7 @@ ChainId Database::AddChain(markov::MarkovChain chain) {
   const ChainId id = static_cast<ChainId>(chains_.size());
   chains_.push_back(std::move(chain));
   by_chain_.emplace_back();
+  multi_per_chain_->emplace_back(0);
   chain_epoch_.push_back(0);
 
   // Greedy leader clustering: join the first cluster whose leader is
@@ -110,6 +111,7 @@ ChainId Database::AddChainToClusterOf(markov::MarkovChain chain,
   const ChainId id = static_cast<ChainId>(chains_.size());
   chains_.push_back(std::move(chain));
   by_chain_.emplace_back();
+  multi_per_chain_->emplace_back(0);
   chain_epoch_.push_back(0);
   uint32_t cluster;
   if (join.has_value()) {
@@ -164,8 +166,12 @@ ObjectId Database::ReAddNormalizedObject(
 void Database::RegisterObject(ObjectId id, ChainId chain) {
   by_chain_[chain].push_back(id);
   object_epoch_.push_back(0);
-  multi_engine_->emplace_back(
-      objects_[id].needs_multi_observation_engine());
+  const bool multi = objects_[id].needs_multi_observation_engine();
+  multi_engine_->emplace_back(multi);
+  if (multi) {
+    (*multi_per_chain_)[chain].fetch_add(1, std::memory_order_release);
+    multi_objects_.push_back(id);
+  }
 }
 
 util::Result<DataVersion> Database::AppendObservation(ObjectId id,
@@ -196,11 +202,15 @@ util::Result<DataVersion> Database::AppendObservationAtVersion(
         "observations must have strictly increasing times");
   }
   object.observations.push_back(std::move(obs));
-  // Census mirror first (release): a submit-path reader that sees the
+  // Census mirrors first (release): a submit-path reader that sees the
   // flag flipped plans the object for the multi-observation engine,
-  // which is correct both before and after the epoch stamps land.
-  (*multi_engine_)[id].store(object.needs_multi_observation_engine(),
-                             std::memory_order_release);
+  // which is correct both before and after the epoch stamps land. With
+  // two observations now, the object needs that engine.
+  if (!(*multi_engine_)[id].exchange(true, std::memory_order_acq_rel)) {
+    (*multi_per_chain_)[object.chain].fetch_add(1,
+                                                std::memory_order_release);
+    multi_objects_.push_back(id);
+  }
   version_ = version;
   object_epoch_[id] = version;
   chain_epoch_[object.chain] = version;

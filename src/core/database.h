@@ -155,6 +155,22 @@ class Database {
     return (*multi_engine_)[id].load(std::memory_order_acquire);
   }
 
+  /// \brief Objects of `chain` that a single-observation plan answers:
+  /// objects_by_chain()[chain].size() minus those flagged by
+  /// object_needs_multi_engine(). O(1), and lock-free like that mirror, so
+  /// the census of a request without a filter costs O(chains).
+  uint32_t single_observation_count(ChainId chain) const {
+    return static_cast<uint32_t>(by_chain_[chain].size()) -
+           (*multi_per_chain_)[chain].load(std::memory_order_acquire);
+  }
+
+  /// Ids of the objects that need the multi-observation engine, in the
+  /// order they came to need it. Unlike the counts above, not safe to
+  /// read while another thread appends.
+  const std::vector<ObjectId>& multi_engine_objects() const {
+    return multi_objects_;
+  }
+
   uint32_t num_objects() const {
     return static_cast<uint32_t>(objects_.size());
   }
@@ -211,6 +227,10 @@ class Database {
   /// already satisfies.
   std::unique_ptr<std::deque<std::atomic<bool>>> multi_engine_ =
       std::make_unique<std::deque<std::atomic<bool>>>();  // ∥ objects_
+  /// Flagged objects per chain, kept like multi_engine_.
+  std::unique_ptr<std::deque<std::atomic<uint32_t>>> multi_per_chain_ =
+      std::make_unique<std::deque<std::atomic<uint32_t>>>();  // ∥ chains_
+  std::vector<ObjectId> multi_objects_;
 };
 
 }  // namespace core

@@ -117,11 +117,50 @@ class StopPoller {
     return StopStatus(reason);
   }
 
+  /// Whether a stop was observed, without polling again.
+  bool stopped() const {
+    return reason_.load(std::memory_order_relaxed) !=
+           static_cast<int>(StopReason::kNone);
+  }
+
  private:
   const QueryRequest& request_;
   const bool has_deadline_;
   std::atomic<int> reason_{static_cast<int>(StopReason::kNone)};
 };
+
+/// The group pass's view of a backward pass's start vector v: v's own
+/// array when dense, else v's support scattered into a worker-local buffer
+/// that holds zeros between views, cleared again when the view ends — so
+/// a view costs O(support), never O(states). Dot(pdf) reads v by index
+/// (ProbVector::DotDense), bit-identical to the engine's pdf.Dot(v).
+class DenseView {
+ public:
+  explicit DenseView(const sparse::ProbVector& v)
+      : v_(v), data_(v.dense_data()) {
+    if (data_ != nullptr) return;
+    if (buffer_.size() < v.size()) buffer_.resize(v.size(), 0.0);
+    v.ForEachNonZero([](uint32_t i, double x) { buffer_[i] = x; });
+    data_ = buffer_.data();
+  }
+  ~DenseView() {
+    if (data_ != buffer_.data()) return;
+    v_.ForEachNonZero([](uint32_t i, double) { buffer_[i] = 0.0; });
+  }
+  DenseView(const DenseView&) = delete;
+  DenseView& operator=(const DenseView&) = delete;
+
+  double Dot(const sparse::ProbVector& pdf) const {
+    return pdf.DotDense(v_, data_);
+  }
+
+ private:
+  static thread_local std::vector<double> buffer_;
+  const sparse::ProbVector& v_;
+  const double* data_;
+};
+
+thread_local std::vector<double> DenseView::buffer_;
 
 }  // namespace
 
@@ -156,6 +195,13 @@ struct QueryExecutor::ChainPlan {
   /// Never cached: cache contents and counts stay independent of which
   /// objects a batch holds.
   std::optional<sparse::ProbVector> head_owned;
+
+  /// The members resolving the chain query-based. When one of them
+  /// evaluates every object, the chain is `shared`: the group pass
+  /// computes each single-observation object's P∃ once, into
+  /// BatchGroup::shared, and all of them read it there.
+  std::vector<ExistsEval*> readers;
+  bool shared = false;
 
   /// The window's head; valid after the build phase when want_head.
   const sparse::ProbVector& head() const {
@@ -199,18 +245,25 @@ struct QueryExecutor::BatchGroup {
   };
   std::vector<Member> members;
 
-  std::map<ChainId, ChainPlan> plans;
+  std::vector<ChainPlan> plans;  // indexed by ChainId
+  /// Some chain has ChainPlan::shared. The pass's values, indexed by
+  /// ObjectId, live from the group's first member's wave to its last
+  /// member's assembly.
+  bool pass = false;
+  std::unique_ptr<double[]> shared;
   /// Chains whose QB engine missed the cache and is built inside the
   /// group task; the builds are inserted into the cache after the
   /// parallel phase.
   std::vector<ChainId> qb_to_build;
   /// Cache-stat deltas of this group's lookups, reported on the first
   /// successfully answered member so aggregating over members never
-  /// double-counts.
+  /// double-counts (a member that then fails would drop them, and the
+  /// answers would no longer reconcile with cache_stats()).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_invalidations = 0;
   uint64_t cache_shift_extends = 0;
+  bool cache_stats_attributed = false;
 };
 
 /// Shared state of one exists-family evaluation: the cooperative-stop
@@ -231,19 +284,30 @@ struct QueryExecutor::ExistsEval {
     return poller.ToStatus();
   }
 
+  /// A stop or an error was observed, without polling again.
+  bool stopped() const {
+    return failed.load(std::memory_order_relaxed) || poller.stopped();
+  }
+
   StopPoller poller;
   /// True for the refine stage of a bounds-then-refine evaluation: every
   /// single-observation object resolves query-based regardless of the
   /// chain's decided plan (kept probabilities thereby stay bit-identical
-  /// to the pure query-based plan's), even when the plans map is shared
+  /// to the pure query-based plan's), even when the plans table is shared
   /// with differently planned members.
   bool force_query_based = false;
+  /// The member evaluates every object (no filter, no refine set): the
+  /// group pass adds the objects it computes while the member is live to
+  /// `singles`, so the member's own reads of it do not count.
+  bool pass_counts = false;
   std::atomic<bool> failed{false};
   std::atomic<uint32_t> early{0};
   std::atomic<uint32_t> singles{0};
   std::atomic<uint32_t> multis{0};
   /// Of `multis`, those answered α · head (trace detail only).
   std::atomic<uint32_t> via_head{0};
+  /// Objects read from the group pass (trace detail only).
+  std::atomic<uint32_t> shared{0};
   std::mutex error_mu;
   util::Status first_error = util::Status::OK();
 };
@@ -542,10 +606,9 @@ util::Result<QueryResult> QueryExecutor::RunDegradedBounds(
 }
 
 void QueryExecutor::EvaluateExistsRange(
-    const QueryRequest& request, const QueryWindow& window,
-    const Selection& ids, const std::map<ChainId, ChainPlan>& plans,
-    const FilteredStates& filtered, size_t begin, size_t end,
-    std::vector<double>* probs, std::vector<uint8_t>* keep,
+    const QueryRequest& request, const BatchGroup& group,
+    const Selection& ids, const FilteredStates& filtered, size_t begin,
+    size_t end, std::vector<double>* probs, std::vector<uint8_t>* keep,
     ExistsEval* ev) {
   // Kernel-dispatch fault point. This runs on pool workers, so a `throw`
   // rule must not unwind the task — it is converted right here and routed
@@ -565,10 +628,13 @@ void QueryExecutor::EvaluateExistsRange(
       return;
     }
   }
+  const QueryWindow& window = group.window;
   const bool threshold =
       request.predicate == PredicateKind::kThresholdExists;
+  uint32_t singles = 0;
+  uint32_t shared = 0;
   for (size_t i = begin; i < end; ++i) {
-    if (ev->failed.load(std::memory_order_relaxed)) return;
+    if (ev->failed.load(std::memory_order_relaxed)) break;
     const UncertainObject& obj = db_->object(ids[i]);
     if (NeedsMultiObservation(obj)) {
       util::Status status = util::Status::OK();
@@ -576,7 +642,7 @@ void QueryExecutor::EvaluateExistsRange(
         const util::Result<sparse::ProbVector>& alpha =
             filtered.at({ids[i], window.t_begin()});
         if (alpha.ok()) {
-          (*probs)[i] = alpha.value().Dot(plans.at(obj.chain).head());
+          (*probs)[i] = alpha.value().Dot(group.plans[obj.chain].head());
           ev->via_head.fetch_add(1, std::memory_order_relaxed);
         } else {
           status = alpha.status();
@@ -594,18 +660,23 @@ void QueryExecutor::EvaluateExistsRange(
         ev->failed.store(true, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(ev->error_mu);
         if (ev->first_error.ok()) ev->first_error = std::move(status);
-        return;
+        break;
       }
       if (threshold) (*keep)[i] = (*probs)[i] >= request.tau;
       ev->multis.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const ChainPlan& cp = plans.at(obj.chain);
+    const ChainPlan& cp = group.plans[obj.chain];
     const Plan plan =
         ev->force_query_based ? Plan::kQueryBased : cp.Resolve(request);
     if (plan == Plan::kQueryBased) {
-      (*probs)[i] = cp.qb->ExistsProbability(obj.initial_pdf());
+      (*probs)[i] = cp.shared ? group.shared[ids[i]]
+                              : cp.qb->ExistsProbability(obj.initial_pdf());
       if (threshold) (*keep)[i] = (*probs)[i] >= request.tau;
+      if (cp.shared) {
+        ++shared;
+        if (ev->pass_counts) continue;  // counted by the pass
+      }
     } else if (threshold) {
       // τ-early-termination (Section V-A): decide first, compute the
       // exact probability only for qualifying objects.
@@ -623,8 +694,10 @@ void QueryExecutor::EvaluateExistsRange(
     } else {
       (*probs)[i] = cp.ob->ExistsProbability(obj.initial_pdf());
     }
-    ev->singles.fetch_add(1, std::memory_order_relaxed);
+    ++singles;
   }
+  ev->singles.fetch_add(singles, std::memory_order_relaxed);
+  ev->shared.fetch_add(shared, std::memory_order_relaxed);
 }
 
 void QueryExecutor::AssembleExistsResult(const QueryRequest& request,
@@ -676,13 +749,13 @@ void QueryExecutor::AssembleExistsResult(const QueryRequest& request,
 }
 
 void QueryExecutor::EvaluateKTimesRange(
-    const Selection& ids, const std::map<ChainId, ChainPlan>& plans,
+    const Selection& ids, const std::vector<ChainPlan>& plans,
     size_t begin, size_t end, std::vector<ObjectKTimes>* distributions,
     KTimesEval* ev) {
   for (size_t i = begin; i < end; ++i) {
     const UncertainObject& obj = db_->object(ids[i]);
     (*distributions)[i] = {
-        ids[i], plans.at(obj.chain).ktimes->Distribution(obj.initial_pdf())};
+        ids[i], plans[obj.chain].ktimes->Distribution(obj.initial_pdf())};
     ev->done.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -808,29 +881,43 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       if (timing) observe_bound(d0, SClock::now());
       continue;
     }
+    // Census. Without a filter it reads the database's per-chain counts
+    // and its multi-observation list: O(chains + multi-observation
+    // objects), not O(objects).
     BatchGroup::Member member;
     member.request_index = i;
-    const Selection ids(request, db_->num_objects());
-    bool unsupported = false;
-    for (size_t j = 0; j < ids.size(); ++j) {
-      const UncertainObject& obj = db_->object(ids[j]);
-      if (NeedsMultiObservation(obj)) {
-        if (request.predicate == PredicateKind::kKTimes) {
-          results[i] = util::Status::Unimplemented(
-              "PSTkQ under multiple observations is not covered by the "
-              "paper's framework; remove multi-observation objects or "
-              "query PST∃Q");
-          unsupported = true;
-          break;
+    std::vector<ObjectId> filtered_multis;
+    const std::vector<ObjectId>* multis = &db_->multi_engine_objects();
+    if (request.object_filter.has_value()) {
+      multis = &filtered_multis;
+      for (ObjectId id : *request.object_filter) {
+        const UncertainObject& obj = db_->object(id);
+        if (NeedsMultiObservation(obj)) {
+          filtered_multis.push_back(id);
+        } else {
+          ++member.single_obs_per_chain[obj.chain];
         }
-        if (ReadsHead(obj, request.window)) {
-          member.head_ids.push_back(ids[j]);
+      }
+    } else {
+      for (ChainId c = 0; c < db_->num_chains(); ++c) {
+        if (const uint32_t n = db_->single_observation_count(c)) {
+          member.single_obs_per_chain.emplace_hint(
+              member.single_obs_per_chain.end(), c, n);
         }
-      } else {
-        ++member.single_obs_per_chain[obj.chain];
       }
     }
-    if (unsupported) continue;
+    if (!multis->empty() && request.predicate == PredicateKind::kKTimes) {
+      results[i] = util::Status::Unimplemented(
+          "PSTkQ under multiple observations is not covered by the "
+          "paper's framework; remove multi-observation objects or "
+          "query PST∃Q");
+      continue;
+    }
+    for (ObjectId id : *multis) {
+      if (ReadsHead(db_->object(id), request.window)) {
+        member.head_ids.push_back(id);
+      }
+    }
 
     // PST∀Q runs as PST∃Q on the complemented region (Section VII).
     const QueryWindow window =
@@ -843,6 +930,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     if (inserted) {
       BatchGroup group;
       group.window = window;
+      group.plans.resize(db_->num_chains());
       groups.push_back(std::move(group));
     }
     groups[it->second].members.push_back(std::move(member));
@@ -952,7 +1040,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       }
     }
     for (const auto& [chain, loads] : auto_loads) {
-      ChainPlan& cp = group.plans.at(chain);
+      ChainPlan& cp = group.plans[chain];
       cp.plan = planner_.PlanBatch(chain, group.window, loads).plan;
       (cp.plan == Plan::kQueryBased ? cp.want_qb : cp.want_ob) = true;
     }
@@ -963,7 +1051,8 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     // as an extension base: the build phase then runs delta steps instead
     // of a cold pass (the standing-query window-slide fast path).
     const EngineCacheStats before = cache_.stats();
-    for (auto& [chain_id, cp] : group.plans) {
+    for (ChainId chain_id = 0; chain_id < group.plans.size(); ++chain_id) {
+      ChainPlan& cp = group.plans[chain_id];
       if (!cp.want_qb) continue;
       const DataVersion epoch = db_->chain_epoch(chain_id);
       cp.qb = cache_.Lookup(&db_->chain(chain_id), group.window, epoch);
@@ -1018,7 +1107,8 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     for (ChainId chain_id : group.qb_to_build) {
       builds.push_back({&group, chain_id, BuildKind::kBackward});
     }
-    for (auto& [chain_id, cp] : group.plans) {
+    for (ChainId chain_id = 0; chain_id < group.plans.size(); ++chain_id) {
+      ChainPlan& cp = group.plans[chain_id];
       // A pass built here keeps (or shares) its head; a borrowed headless
       // pass, or none at all, leaves the head to a HeadPass.
       if (cp.want_head &&
@@ -1046,7 +1136,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   pool_.ParallelChunks(builds.size(), [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       const EngineBuild& build = builds[b];
-      ChainPlan& cp = build.group->plans.at(build.chain);
+      ChainPlan& cp = build.group->plans[build.chain];
       switch (build.kind) {
         case BuildKind::kBackward:
           cp.qb_owned =
@@ -1084,27 +1174,28 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   const SClock::time_point g2 = now();
   SClock::time_point last_wave_end = g2;
 
-  // --- Execution phase: flatten the per-object evaluation of every
-  // member of every group into object-range subtasks of kStopCheckStride
-  // objects and spread them across the pool. A batch concentrated on one
-  // window — a dashboard refresh, or a single request — therefore still
-  // saturates all workers. Results are unaffected by the split: every
-  // object's output is written independently, and each subtask re-checks
-  // its member's cancellation token and deadline first, which is the
-  // cooperative-stop stride.
+  // --- Execution phase, two dispatches per wave. First the group passes:
+  // each covered chain's object list in kStopCheckStride-object tasks,
+  // every task polling the members that read it and skipped once all of
+  // them stopped. Then every member's evaluation, flattened into
+  // object-range subtasks of kStopCheckStride objects, so a batch on one
+  // window — a dashboard refresh, or a single request — still saturates
+  // all workers; each subtask re-checks its member's token and deadline
+  // first (the cooperative-stop stride). Every object's output is written
+  // independently, so neither split shows in the results.
   //
   // Members run in *waves* whose combined object count is bounded, so
-  // per-member scratch (probs/keep/distributions) peaks at roughly the
-  // wave budget instead of O(batch × objects) — a 64-request refresh over
-  // a million-object database must not hold 64 full result buffers at
-  // once. Each wave is assembled (and its scratch freed) before the next
-  // allocates; waves follow batch order, so assembly order and cache-stat
-  // attribution are unchanged. ---------------------------------------------
+  // scratch (probs/keep/distributions and the groups' pass values) peaks
+  // at roughly the wave budget instead of O(batch × objects) — a
+  // 64-request refresh over a million-object database must not hold 64
+  // full result buffers at once. Each wave is assembled and freed before
+  // the next allocates; waves follow batch order. ---------------------------
   struct MemberExec {
     MemberExec(const QueryRequest& req, BatchGroup* g,
                const BatchGroup::Member& m, uint32_t num_objects)
         : request(req),
           group(g),
+          member(m),
           // Bound-pass members evaluate their refine set (which outlives
           // the wave in the group's member census); everyone else their
           // request selection.
@@ -1116,11 +1207,13 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       } else {
         exists_ev.emplace(req);
         exists_ev->force_query_based = m.bounds;
+        exists_ev->pass_counts = !m.bounds && !req.object_filter.has_value();
       }
     }
 
     const QueryRequest& request;
     BatchGroup* group;
+    const BatchGroup::Member& member;
     Selection ids;
     bool ktimes;
     std::optional<ExistsEval> exists_ev;  // engaged iff !ktimes
@@ -1135,39 +1228,51 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     size_t begin;
     size_t end;
   };
-  struct MemberRef {
-    size_t group_index;
-    const BatchGroup::Member* member;
+  struct PassTask {
+    BatchGroup* group;
+    ChainId chain;
+    size_t begin;  // range of db_->objects_by_chain()[chain]
+    size_t end;
   };
-  std::vector<MemberRef> member_order;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (const BatchGroup::Member& member : groups[g].members) {
+  // Every member's evaluation state, in batch order (a group's members in
+  // a row); deque: MemberExec holds atomics. Scratch is sized per wave. A
+  // chain gets a group pass when a member evaluating every object
+  // resolves it query-based.
+  std::deque<MemberExec> execs;
+  for (BatchGroup& group : groups) {
+    for (const BatchGroup::Member& member : group.members) {
       if (member.resolved) continue;  // stopped during the bound phase
-      member_order.push_back({g, &member});
+      MemberExec& me = execs.emplace_back(requests[member.request_index],
+                                          &group, member, db_->num_objects());
+      if (me.ktimes) continue;
+      for (const auto& [chain, count] : member.single_obs_per_chain) {
+        ChainPlan& cp = group.plans[chain];
+        if (member.bounds || cp.Resolve(me.request) == Plan::kQueryBased) {
+          cp.readers.push_back(&*me.exists_ev);
+          cp.shared = cp.shared || me.exists_ev->pass_counts;
+          group.pass = group.pass || cp.shared;
+        }
+      }
     }
   }
-  // Per-group flag: the group's cache-stat deltas go to the first member
-  // whose result is actually stored — attributing them to a member that
-  // then fails would drop them, and aggregating answers would no longer
-  // reconcile with cache_stats(). Persistent across waves, since a
-  // group's members may span several.
-  std::vector<uint8_t> cache_stats_attributed(groups.size(), 0);
 
-  /// Combined object count one wave's members may hold scratch for
-  /// (~36 MB of probs + keep). A single larger member still runs alone.
+  /// Combined object count one wave's members and group passes may hold
+  /// scratch for (~36 MB of probs + keep). A single larger member still
+  /// runs alone.
   constexpr size_t kWaveObjectBudget = size_t{4} << 20;
 
   size_t next_member = 0;
-  while (next_member < member_order.size()) {
+  while (next_member < execs.size()) {
     size_t wave_end = next_member;
     size_t wave_objects = 0;
-    while (wave_end < member_order.size()) {
-      const BatchGroup::Member& m = *member_order[wave_end].member;
-      const size_t n_objects =
-          m.bounds
-              ? m.refine_ids.size()
-              : Selection(requests[m.request_index], db_->num_objects())
-                    .size();
+    while (wave_end < execs.size()) {
+      const MemberExec& me = execs[wave_end];
+      size_t n_objects = me.ids.size();
+      // A group's pass values live while any of its members' scratch does.
+      if (me.group->pass &&
+          (wave_end == next_member || execs[wave_end - 1].group != me.group)) {
+        n_objects += db_->num_objects();
+      }
       if (wave_end > next_member &&
           wave_objects + n_objects > kWaveObjectBudget) {
         break;
@@ -1176,14 +1281,23 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       ++wave_end;
     }
 
-    std::deque<MemberExec> execs;  // deque: MemberExec holds atomics
+    std::vector<PassTask> passes;
     std::vector<SubTask> subtasks;
     for (size_t i = next_member; i < wave_end; ++i) {
-      const MemberRef& mr = member_order[i];
-      execs.emplace_back(requests[mr.member->request_index],
-                         &groups[mr.group_index], *mr.member,
-                         db_->num_objects());
-      MemberExec& me = execs.back();
+      MemberExec& me = execs[i];
+      BatchGroup& group = *me.group;
+      if (group.pass && group.shared == nullptr) {
+        group.shared =
+            std::make_unique_for_overwrite<double[]>(db_->num_objects());
+        for (ChainId c = 0; c < group.plans.size(); ++c) {
+          if (!group.plans[c].shared) continue;
+          const size_t n = db_->objects_by_chain()[c].size();
+          for (size_t b = 0; b < n; b += util::kStopCheckStride) {
+            passes.push_back(
+                {&group, c, b, std::min(n, b + util::kStopCheckStride)});
+          }
+        }
+      }
       if (me.ktimes) {
         me.distributions.resize(me.ids.size());
       } else {
@@ -1196,6 +1310,39 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       }
     }
     const SClock::time_point w0 = now();
+    pool_.ParallelChunks(passes.size(), [&](size_t begin, size_t end) {
+      // Static chunking hands each worker a contiguous run of tasks, so
+      // one view serves all of a worker's tasks on one (group, chain).
+      std::optional<DenseView> view;
+      const ChainPlan* viewed = nullptr;
+      for (size_t p = begin; p < end; ++p) {
+        const PassTask& task = passes[p];
+        const ChainPlan& cp = task.group->plans[task.chain];
+        bool live = false;
+        for (ExistsEval* reader : cp.readers) {
+          live = !reader->ShouldStop() || live;
+        }
+        if (!live) continue;
+        if (viewed != &cp) {
+          view.emplace(cp.qb->start_vector());
+          viewed = &cp;
+        }
+        const std::vector<ObjectId>& objects =
+            db_->objects_by_chain()[task.chain];
+        uint32_t computed = 0;
+        for (size_t k = task.begin; k < task.end; ++k) {
+          const UncertainObject& obj = db_->object(objects[k]);
+          if (NeedsMultiObservation(obj)) continue;
+          task.group->shared[objects[k]] = view->Dot(obj.initial_pdf());
+          ++computed;
+        }
+        for (ExistsEval* reader : cp.readers) {
+          if (reader->pass_counts && !reader->stopped()) {
+            reader->singles.fetch_add(computed, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
     pool_.ParallelChunks(subtasks.size(), [&](size_t begin, size_t end) {
       for (size_t s = begin; s < end; ++s) {
         const SubTask& task = subtasks[s];
@@ -1208,9 +1355,8 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
         } else {
           if (me.exists_ev->ShouldStop()) continue;
           me.subtasks.fetch_add(1, std::memory_order_relaxed);
-          EvaluateExistsRange(me.request, me.group->window, me.ids,
-                              me.group->plans, filtered, task.begin,
-                              task.end, &me.probs, &me.keep,
+          EvaluateExistsRange(me.request, *me.group, me.ids, filtered,
+                              task.begin, task.end, &me.probs, &me.keep,
                               &*me.exists_ev);
         }
       }
@@ -1221,13 +1367,11 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
     // Assembly (calling thread): record this wave's progress in each
     // member's stats (stopped and failed members included), convert
     // answered members into result slots in batch order, then drop the
-    // wave's scratch.
-    size_t exec_index = 0;
+    // wave's scratch, and a group's pass values after its last member.
     for (size_t i = next_member; i < wave_end; ++i) {
-      const MemberRef& mr = member_order[i];
-      const BatchGroup& group = groups[mr.group_index];
-      const BatchGroup::Member& member = *mr.member;
-      MemberExec& me = execs[exec_index++];
+      MemberExec& me = execs[i];
+      BatchGroup& group = *me.group;
+      const BatchGroup::Member& member = me.member;
       ExecStats& st = (*stats)[member.request_index];
       if (me.ids.size() == 0) {
         // Zero-object members never reach a subtask's cooperative stop
@@ -1242,6 +1386,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
       st.group_subtasks = me.subtasks.load();
       util::Status status = util::Status::OK();
       uint32_t via_head = 0;
+      uint32_t shared = 0;
       if (me.ktimes) {
         status = me.ktimes_ev->poller.ToStatus();
         st.chains_object_based =
@@ -1253,7 +1398,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
           (void)count;
           const Plan plan = me.exists_ev->force_query_based
                                 ? Plan::kQueryBased
-                                : group.plans.at(chain).Resolve(me.request);
+                                : group.plans[chain].Resolve(me.request);
           ++(plan == Plan::kQueryBased ? st.chains_query_based
                                        : st.chains_object_based);
         }
@@ -1261,12 +1406,13 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
         st.objects_evaluated = me.exists_ev->singles.load();
         st.objects_multi_observation = me.exists_ev->multis.load();
         via_head = me.exists_ev->via_head.load();
+        shared = me.exists_ev->shared.load();
       }
       if (me.request.trace != nullptr) {
         // The member's spans: the shared plan window (around its own
         // bound span, if it ran one), the shared build phase, and its
         // wave's evaluation window.
-        char detail[96];
+        char detail[128];
         std::snprintf(detail, sizeof(detail), "batch_members=%u",
                       st.batch_group_members);
         if (member.bounds) {
@@ -1282,32 +1428,43 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
                       static_cast<unsigned long long>(group.cache_misses));
         me.request.trace->Record(obs::Stage::kEngineBuild, g1, g2, shard,
                                  detail);
-        std::snprintf(detail, sizeof(detail),
-                      "objects=%u,multi_obs=%u,via_head=%u,subtasks=%u",
-                      st.objects_evaluated + st.objects_multi_observation,
-                      st.objects_multi_observation, via_head,
-                      st.group_subtasks);
+        const int n = std::snprintf(
+            detail, sizeof(detail),
+            "objects=%u,multi_obs=%u,via_head=%u,subtasks=%u",
+            st.objects_evaluated + st.objects_multi_observation,
+            st.objects_multi_observation, via_head, st.group_subtasks);
+        if (shared > 0) {
+          std::snprintf(detail + n, sizeof(detail) - static_cast<size_t>(n),
+                        ",shared=%u", shared);
+        }
         me.request.trace->Record(obs::Stage::kEvaluate, w0, w1, shard,
                                  detail);
       }
+      if (i + 1 == execs.size() || execs[i + 1].group != me.group) {
+        group.shared.reset();
+      }
       if (!status.ok()) {
         results[member.request_index] = std::move(status);
-        continue;
-      }
-      if (cache_stats_attributed[mr.group_index] == 0) {
-        st.cache_hits = group.cache_hits;
-        st.cache_misses = group.cache_misses;
-        st.cache_invalidations = group.cache_invalidations;
-        st.cache_shift_extends = group.cache_shift_extends;
-        cache_stats_attributed[mr.group_index] = 1;
-      }
-      QueryResult result;
-      if (me.ktimes) {
-        result.distributions = std::move(me.distributions);
       } else {
-        AssembleExistsResult(me.request, me.ids, me.probs, me.keep, &result);
+        if (!group.cache_stats_attributed) {
+          st.cache_hits = group.cache_hits;
+          st.cache_misses = group.cache_misses;
+          st.cache_invalidations = group.cache_invalidations;
+          st.cache_shift_extends = group.cache_shift_extends;
+          group.cache_stats_attributed = true;
+        }
+        QueryResult result;
+        if (me.ktimes) {
+          result.distributions = std::move(me.distributions);
+        } else {
+          AssembleExistsResult(me.request, me.ids, me.probs, me.keep,
+                               &result);
+        }
+        results[member.request_index] = std::move(result);
       }
-      results[member.request_index] = std::move(result);
+      me.probs = {};
+      me.keep = {};
+      me.distributions = {};
     }
     next_member = wave_end;
   }
@@ -1317,7 +1474,7 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   // member evaluated, may an admission evict a pass this batch borrowed. --
   for (BatchGroup& group : groups) {
     for (ChainId chain_id : group.qb_to_build) {
-      ChainPlan& cp = group.plans.at(chain_id);
+      ChainPlan& cp = group.plans[chain_id];
       if (cp.qb_owned != nullptr) {
         cache_.Put(&db_->chain(chain_id), group.window,
                    std::move(cp.qb_owned), db_->chain_epoch(chain_id));

@@ -137,14 +137,19 @@ class QueryExecutor {
   ///
   /// Parallelism is two-phase. First every missing engine — above all the
   /// expensive query-based backward passes — is built, one pool task per
-  /// (group, chain) build. Then the per-object evaluation of *all* members
-  /// of *all* groups is flattened into object-range subtasks of
-  /// util::kStopCheckStride objects each and spread across the pool, so a
-  /// batch concentrated on a single window (one group) still saturates
-  /// every worker instead of one. Members are evaluated in waves whose
-  /// combined object count is bounded, so per-member scratch peaks at the
-  /// wave budget rather than O(batch × objects). Each subtask re-checks
-  /// its member's cancellation token and deadline before running;
+  /// (group, chain) build. Then evaluation: where some member evaluates
+  /// the whole database and resolves a chain query-based, the group
+  /// computes each of the chain's objects' P∃ once (the group pass) and
+  /// every member resolving that chain query-based reads it; then the
+  /// per-object evaluation of *all* members of *all* groups is flattened
+  /// into object-range subtasks of util::kStopCheckStride objects each
+  /// and spread across the pool, so a batch concentrated on a single
+  /// window (one group) still saturates every worker instead of one.
+  /// Members are evaluated in waves whose combined object count is
+  /// bounded, so scratch peaks at the wave budget rather than
+  /// O(batch × objects). Each subtask re-checks its member's cancellation
+  /// token and deadline before running, and each group-pass task stops
+  /// once every member reading it has stopped;
   /// ExecStats::group_subtasks reports the splits taken per member. Cached
   /// backward passes are borrowed with EngineCache::Lookup(), which never
   /// evicts, and newly built ones are admitted only after evaluation, so
@@ -298,15 +303,16 @@ class QueryExecutor {
 
   // Per-object evaluation cores, driven by RunBatch's flat subtask
   // scheduler: evaluate objects [begin, end) of `ids` (thread-safe across
-  // disjoint ranges, results written independently per object).
+  // disjoint ranges, results written independently per object). An
+  // exists member reads the group pass's value for every object of a
+  // chain the pass covers and it resolves query-based.
   void EvaluateExistsRange(const QueryRequest& request,
-                           const QueryWindow& window, const Selection& ids,
-                           const std::map<ChainId, ChainPlan>& plans,
+                           const BatchGroup& group, const Selection& ids,
                            const FilteredStates& filtered, size_t begin,
                            size_t end, std::vector<double>* probs,
                            std::vector<uint8_t>* keep, ExistsEval* ev);
   void EvaluateKTimesRange(const Selection& ids,
-                           const std::map<ChainId, ChainPlan>& plans,
+                           const std::vector<ChainPlan>& plans,
                            size_t begin, size_t end,
                            std::vector<ObjectKTimes>* distributions,
                            KTimesEval* ev);

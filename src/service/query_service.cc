@@ -26,6 +26,13 @@ constexpr size_t kLatencyReservoir = 4096;
 
 using Clock = std::chrono::steady_clock;
 
+/// The failures a later attempt may cure: shard health, partial merges
+/// and subscription refreshes treat these alone as transient.
+bool IsTransient(util::StatusCode code) {
+  return code == util::StatusCode::kUnavailable ||
+         code == util::StatusCode::kInternal;
+}
+
 /// Draws one fault decision at a service-owned injection point. The
 /// service's submit/merge paths speak Status, so a `throw` rule is
 /// converted here — a fault must resolve the ticket, never unwind into
@@ -121,6 +128,9 @@ struct SubscriptionState {
   WindowPolicy policy;
   SubscriptionCallback callback;
   std::atomic<bool> cancelled{false};
+  /// Set once a refresh failed for good; `status` is written before it.
+  std::atomic<bool> closed{false};
+  util::Status status = util::Status::OK();
   std::atomic<uint64_t> sequence{0};  ///< last delivered; 0 = none yet
   bool dirty = true;  ///< first refresh delivers the full set as entered
   /// Last delivered answer set, ascending by object id.
@@ -203,6 +213,13 @@ void Subscription::Cancel() {
 bool Subscription::cancelled() const {
   return state_ != nullptr &&
          state_->cancelled.load(std::memory_order_acquire);
+}
+
+util::Status Subscription::status() const {
+  if (state_ == nullptr || !state_->closed.load(std::memory_order_acquire)) {
+    return util::Status::OK();
+  }
+  return state_->status;
 }
 
 uint64_t Subscription::last_sequence() const {
@@ -510,17 +527,19 @@ util::Status QueryService::BuildRoute(
       add_fallback = req.plan == core::PlanChoice::kBoundsThenRefine;
       pinned = core::PlanChoice::kAutoPerChain;
     } else if (req.plan == core::PlanChoice::kAuto) {
+      // Census via the lock-free mirrors: this submit-path loop runs
+      // without the shard's ingest lock, and reading an object's history
+      // directly would race a concurrent append. Without a filter it
+      // reads per-chain counts, O(chains).
       std::map<ChainId, uint32_t> load_map;
       for (uint32_t s = 0; s < num_shards; ++s) {
         const core::Database& shard_db = sharded_->shard(s);
-        const size_t n =
-            filtered ? filters[s].size() : shard_db.num_objects();
-        for (size_t i = 0; i < n; ++i) {
-          const ObjectId local =
-              filtered ? filters[s][i] : static_cast<ObjectId>(i);
-          // Census via the lock-free mirror: this submit-path loop runs
-          // without the shard's ingest lock, and reading the object's
-          // history directly would race a concurrent append.
+        for (ChainId c = 0; !filtered && c < shard_db.num_chains(); ++c) {
+          if (const uint32_t n = shard_db.single_observation_count(c)) {
+            load_map[sharded_->global_chain(s, c)] += n;
+          }
+        }
+        for (ObjectId local : filters[s]) {  // empty without a filter
           if (shard_db.object_needs_multi_engine(local)) continue;
           ++load_map[sharded_->global_chain(s, shard_db.object(local).chain)];
         }
@@ -633,9 +652,7 @@ void QueryService::RecordShardOutcome(uint32_t shard,
     tracker.RecordSuccess();
     return;
   }
-  const util::StatusCode code = status.code();
-  if (code == util::StatusCode::kUnavailable ||
-      code == util::StatusCode::kInternal) {
+  if (IsTransient(status.code())) {
     const ShardHealth before = tracker.health();
     const ShardHealth after = tracker.RecordFailure(Clock::now());
     if (after == ShardHealth::kQuarantined &&
@@ -1113,9 +1130,7 @@ void QueryService::MergeAndResolve(
       ++ok_count;
       continue;
     }
-    const util::StatusCode code = slot.status().code();
-    if (code != util::StatusCode::kUnavailable &&
-        code != util::StatusCode::kInternal) {
+    if (!IsTransient(slot.status().code())) {
       if (!first_fatal.has_value()) first_fatal = i;
     } else if (!first_transient.has_value()) {
       first_transient = i;
@@ -1517,11 +1532,18 @@ size_t QueryService::RefreshSubscriptions() {
     SubscriptionState& sub = *round[i];
     util::Result<core::QueryResult> result = tickets[i].Get();
     if (!result.ok()) {
-      // Transient failure (backpressure rejection, quarantine, injected
-      // fault): stay dirty and retry next round; the sequence number
-      // never advances past a gap.
       std::lock_guard<std::mutex> lock(subs_mu_);
-      sub.dirty = true;
+      if (IsTransient(result.status().code())) {
+        // Backpressure rejection, quarantine, injected fault: stay dirty
+        // and retry next round.
+        sub.dirty = true;
+      } else {
+        // No retry can cure it (a passed deadline, a window before an
+        // object's first observation, an inconsistent history): close.
+        sub.status = result.status();
+        sub.closed.store(true, std::memory_order_release);
+        std::erase(subscriptions_, round[i]);
+      }
       continue;
     }
     if (sub.cancelled.load(std::memory_order_acquire)) continue;

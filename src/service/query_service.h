@@ -354,6 +354,13 @@ class Subscription {
   /// Sequence number of the last delivered delta (0 before the first).
   uint64_t last_sequence() const;
 
+  /// \brief OK while the subscription is live (or cancelled). Once a
+  /// refresh fails for a reason no retry cures (any code but kUnavailable
+  /// and kInternal, e.g. kDeadlineExceeded for a passed deadline), the
+  /// subscription is closed: it leaves the registry, is never submitted
+  /// again, delivers no further delta, and this returns that failure.
+  util::Status status() const;
+
  private:
   friend class QueryService;
   explicit Subscription(std::shared_ptr<internal::SubscriptionState> state)
@@ -472,9 +479,11 @@ class QueryService {
   /// subscription through ONE SubmitBurst (coalescing into shared
   /// RunBatch groups), waits for the answers, and delivers deltas on the
   /// calling thread in subscription order. A subscription whose refresh
-  /// fails transiently (backpressure rejection, quarantined shards with
-  /// partial answers disabled) stays dirty and is retried next round; its
-  /// sequence number does not advance. Returns the number of deltas
+  /// fails transiently (kUnavailable or kInternal: backpressure
+  /// rejection, quarantined shards with partial answers disabled, an
+  /// injected fault) stays dirty and is retried next round; any other
+  /// failure closes it (Subscription::status()). Either way its sequence
+  /// number does not advance. Returns the number of deltas
   /// delivered. Rounds are serialized — concurrent callers queue behind
   /// one another.
   size_t RefreshSubscriptions();

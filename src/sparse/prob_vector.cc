@@ -147,6 +147,17 @@ double ProbVector::Dot(const ProbVector& other) const {
   return acc.Total();
 }
 
+double ProbVector::DotDense(const ProbVector& other,
+                            const double* other_dense) const {
+  if (dense_) return Dot(other);
+  assert(size_ == other.size_);
+  util::CompensatedSum acc;
+  for (size_t k = 0; k < idx_.size(); ++k) {
+    acc.Add(val_[k] * other_dense[idx_[k]]);
+  }
+  return acc.Total();
+}
+
 void ProbVector::Scale(double factor) {
   assert(factor >= 0.0);
   if (dense_) {

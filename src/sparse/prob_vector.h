@@ -85,6 +85,19 @@ class ProbVector {
   /// Dot product with another vector of the same dimension.
   double Dot(const ProbVector& other) const;
 
+  /// \brief Dot(other), bit for bit, reading `other` through
+  /// `other_dense`: an array of size() entries equal to other's, zeros
+  /// included. A sparse vector keeps Dot's ascending walk over its own
+  /// non-zeros and its compensated sum, but reads each entry of `other`
+  /// by index instead of by binary search; a dense one takes Dot, which
+  /// may walk `other` instead.
+  double DotDense(const ProbVector& other, const double* other_dense) const;
+
+  /// The dense array (size() entries) while dense, else nullptr.
+  const double* dense_data() const {
+    return dense_ ? dense_values_.data() : nullptr;
+  }
+
   /// Scales all entries by `factor` (>= 0).
   void Scale(double factor);
 

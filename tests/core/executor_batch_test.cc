@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/executor.h"
+#include "core/query_based.h"
+#include "obs/trace.h"
 #include "testing/random_models.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
@@ -400,6 +404,208 @@ TEST(ExecutorBatchTest, EmptySelectionMemberObservesLateCancellation) {
   EXPECT_EQ(results[0].status().code(), util::StatusCode::kCancelled);
   ASSERT_TRUE(results[1].ok());
   EXPECT_EQ(results[1]->probabilities.size(), 8u);
+}
+
+/// The evaluate span's detail, "" when the trace has none.
+std::string EvaluateDetail(const obs::QueryTrace& trace) {
+  for (const obs::TraceSpan& span : trace.spans()) {
+    if (span.stage == obs::Stage::kEvaluate) return span.detail;
+  }
+  return "";
+}
+
+TEST(ExecutorBatchTest, GroupPassAnswersAreBitIdenticalToColdSoloRuns) {
+  // One batch on one window holding every kind of member a group pass
+  // serves or skips, next to a group of filtered members only. Each chain
+  // holds enough objects that kAuto picks query-based alone as in the
+  // batch, so every member decides the same plan per chain either way and
+  // its answer must match a cold solo run bit for bit.
+  util::Rng rng(2211);
+  constexpr uint32_t kStates = 30;
+  Database db;
+  std::vector<ChainId> chains;
+  for (int c = 0; c < 3; ++c) {
+    chains.push_back(db.AddChain(RandomChain(kStates, 3, &rng)));
+  }
+  for (uint32_t i = 0; i < 240; ++i) {
+    (void)db.AddObjectAt(chains[i % 3], RandomDistribution(kStates, 3, &rng))
+        .ValueOrDie();
+  }
+  // Multi-observation objects: a second observation at t = 2 precedes the
+  // window (α · head), one at t = 9 follows its first time (doubled-state
+  // engine). Full-support pdfs keep every history consistent.
+  std::vector<ObjectId> multi;
+  for (int j = 0; j < 6; ++j) {
+    std::vector<Observation> obs;
+    obs.push_back({0, RandomDistribution(kStates, 3, &rng)});
+    obs.push_back({j % 2 == 0 ? Timestamp{2} : Timestamp{9},
+                   RandomDistribution(kStates, kStates, &rng)});
+    multi.push_back(db.AddObject(chains[j % 3], obs).ValueOrDie());
+  }
+  const QueryWindow window =
+      QueryWindow::FromRanges(kStates, 6, 14, 4, 7).ValueOrDie();
+  const QueryWindow other =
+      QueryWindow::FromRanges(kStates, 0, 9, 3, 6).ValueOrDie();
+  const auto make = [](PredicateKind predicate, const QueryWindow& w,
+                       PlanChoice plan = PlanChoice::kAuto) {
+    QueryRequest request;
+    request.predicate = predicate;
+    request.window = w;
+    request.plan = plan;
+    request.tau = 0.3;
+    request.k = 10;
+    return request;
+  };
+  std::vector<QueryRequest> requests{
+      make(PredicateKind::kExists, window),
+      make(PredicateKind::kForAll, window),
+      make(PredicateKind::kTopKExists, window),
+      make(PredicateKind::kThresholdExists, window),
+      make(PredicateKind::kThresholdExists, window,
+           PlanChoice::kBoundsThenRefine),
+      make(PredicateKind::kExists, window, PlanChoice::kObjectBased),
+      make(PredicateKind::kExists, window, PlanChoice::kQueryBased),
+      make(PredicateKind::kExists, other, PlanChoice::kQueryBased),
+      make(PredicateKind::kThresholdExists, other, PlanChoice::kQueryBased),
+  };
+  const std::vector<ObjectId> filter{3, 7, 8, 100, 239, multi[0], multi[1]};
+  for (size_t i = 6; i < requests.size(); ++i) {
+    requests[i].object_filter = filter;
+  }
+  constexpr size_t kFilteredInPass = 6;
+  constexpr size_t kFilteredOnly = 7;
+
+  std::vector<QueryResult> solo;
+  for (const QueryRequest& request : requests) {
+    QueryExecutor cold(&db, {.num_threads = 1});
+    solo.push_back(cold.Run(request).ValueOrDie());
+  }
+  ASSERT_EQ(solo[0].stats.chains_query_based, 3u);
+  ASSERT_EQ(solo[0].stats.objects_evaluated, 240u);
+  ASSERT_EQ(solo[0].stats.objects_multi_observation, 6u);
+  ASSERT_GT(solo[4].stats.prune.clusters_bounded, 0u);
+
+  for (unsigned threads : {1u, 4u}) {
+    QueryExecutor executor(&db, {.num_threads = threads});
+    for (const char* cache : {"cold", "warm"}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " + cache);
+      std::vector<QueryRequest> traced = requests;
+      for (QueryRequest& request : traced) {
+        request.trace = std::make_shared<obs::QueryTrace>();
+      }
+      const auto batch = executor.RunBatch(traced);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        ASSERT_TRUE(batch[i].ok()) << batch[i].status();
+        const QueryResult& got = batch[i].value();
+        ASSERT_EQ(got.probabilities.size(), solo[i].probabilities.size());
+        for (size_t j = 0; j < got.probabilities.size(); ++j) {
+          EXPECT_EQ(got.probabilities[j].id, solo[i].probabilities[j].id);
+          EXPECT_EQ(got.probabilities[j].probability,
+                    solo[i].probabilities[j].probability);
+        }
+        // A member still counts the objects it answered.
+        EXPECT_EQ(got.stats.objects_evaluated, solo[i].stats.objects_evaluated);
+        EXPECT_EQ(got.stats.objects_multi_observation,
+                  solo[i].stats.objects_multi_observation);
+        EXPECT_EQ(got.stats.group_subtasks, solo[i].stats.group_subtasks);
+      }
+      // The filtered member beside the unfiltered ones reads the group
+      // pass for its five single-observation objects; the group of
+      // filtered members alone has no pass.
+      EXPECT_NE(EvaluateDetail(*traced[kFilteredInPass].trace)
+                    .find(",shared=5"),
+                std::string::npos);
+      EXPECT_EQ(EvaluateDetail(*traced[kFilteredOnly].trace).find("shared="),
+                std::string::npos);
+    }
+    EXPECT_GT(executor.cache_stats().hits, 0u);
+  }
+}
+
+/// A chain on a line of `n` states that moves at most one state per step:
+/// a backward pass over a short window reaches only states near its
+/// region, so the pass's start vector stays sparse.
+markov::MarkovChain LineChain(uint32_t n, util::Rng* rng) {
+  std::vector<sparse::Triplet> t;
+  for (uint32_t r = 0; r < n; ++r) {
+    const uint32_t lo = r == 0 ? 0 : r - 1;
+    const uint32_t hi = r + 1 == n ? r : r + 1;
+    std::vector<double> w;
+    for (uint32_t c = lo; c <= hi; ++c) w.push_back(0.1 + rng->NextDouble());
+    double total = 0.0;
+    for (double x : w) total += x;
+    for (uint32_t c = lo; c <= hi; ++c) t.push_back({r, c, w[c - lo] / total});
+  }
+  return markov::MarkovChain::FromTriplets(n, std::move(t)).ValueOrDie();
+}
+
+TEST(ExecutorBatchTest, GroupPassesOverSparseVectorsMatchColdSoloRuns) {
+  // Two groups on windows at opposite ends of a 400-state line: each
+  // chain's start vector is sparse, so every group pass reads it through
+  // the worker-local scatter, and one worker runs one group's tasks after
+  // the other's. Objects hold mass near both ends, so an entry of one view
+  // that outlived it would change answers in the other.
+  util::Rng rng(2212);
+  constexpr uint32_t kStates = 400;
+  Database db;
+  const ChainId a = db.AddChain(LineChain(kStates, &rng));
+  const ChainId b = db.AddChain(LineChain(kStates, &rng));
+  for (uint32_t i = 0; i < 200; ++i) {
+    std::vector<std::pair<uint32_t, double>> pairs;
+    for (int k = 0; k < 3; ++k) {
+      pairs.emplace_back(static_cast<uint32_t>(rng.NextBounded(30)),
+                         0.1 + rng.NextDouble());
+      pairs.emplace_back(kStates - 1 - static_cast<uint32_t>(
+                                           rng.NextBounded(30)),
+                         0.1 + rng.NextDouble());
+    }
+    (void)db.AddObjectAt(i % 2 == 0 ? a : b,
+                         sparse::ProbVector::FromPairs(kStates, pairs, true)
+                             .ValueOrDie())
+        .ValueOrDie();
+  }
+  const QueryWindow low =
+      QueryWindow::FromRanges(kStates, 5, 12, 3, 6).ValueOrDie();
+  const QueryWindow high =
+      QueryWindow::FromRanges(kStates, 385, 392, 3, 6).ValueOrDie();
+  for (const QueryWindow* w : {&low, &high}) {
+    for (ChainId c : {a, b}) {
+      ASSERT_TRUE(
+          QueryBasedEngine(&db.chain(c), *w).start_vector().IsSparse());
+    }
+  }
+  std::vector<QueryRequest> requests;
+  for (const QueryWindow* w : {&low, &high, &low, &high}) {
+    QueryRequest request;
+    request.predicate = PredicateKind::kExists;
+    request.window = *w;
+    request.plan = PlanChoice::kQueryBased;
+    requests.push_back(request);
+  }
+  std::vector<QueryResult> solo;
+  for (const QueryRequest& request : requests) {
+    solo.push_back(
+        QueryExecutor(&db, {.num_threads = 1}).Run(request).ValueOrDie());
+  }
+  for (unsigned threads : {1u, 4u}) {
+    QueryExecutor executor(&db, {.num_threads = threads});
+    for (int run = 0; run < 2; ++run) {  // cold, then warm
+      const auto batch = executor.RunBatch(requests);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        ASSERT_TRUE(batch[i].ok());
+        EXPECT_EQ(batch[i]->stats.batch_group_members, 2u);
+        ASSERT_EQ(batch[i]->probabilities.size(),
+                  solo[i].probabilities.size());
+        for (size_t j = 0; j < solo[i].probabilities.size(); ++j) {
+          EXPECT_EQ(batch[i]->probabilities[j].probability,
+                    solo[i].probabilities[j].probability)
+              << threads << " threads, run " << run << ", request " << i
+              << ", object " << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(ExecutorBatchTest, RefreshBatchesRunEndToEnd) {

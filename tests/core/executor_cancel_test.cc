@@ -193,6 +193,86 @@ TEST(ExecutorCancelTest, BatchIsolatesExpiredMember) {
   EXPECT_EQ(results[1].value().probabilities.size(), kObjects);
 }
 
+// Two unfiltered members share one group pass. The cancelled one trips
+// in the pass's third task and counts only the two tasks computed while it
+// was live; the pass keeps going for its live neighbour, whose answer is
+// bit-identical to a solo run.
+TEST(ExecutorCancelTest, CancelledMemberLeavesTheSharedPassToItsNeighbour) {
+  Database db = MakeDb(19);
+  QueryExecutor executor(&db, {.num_threads = 1});
+  util::CancellationSource source;
+  source.RequestStopAfterPolls(3);  // the submission check, two tasks
+  std::vector<QueryRequest> requests(2, ExistsRequest());
+  requests[1].cancel = source.token();
+  const auto results = executor.RunBatch(requests);
+  ASSERT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].status().code(), util::StatusCode::kCancelled);
+  EXPECT_EQ(executor.last_run_stats().objects_evaluated,
+            2 * util::kStopCheckStride);
+  ASSERT_TRUE(results[0].ok()) << results[0].status();
+
+  QueryExecutor solo(&db, {.num_threads = 1});
+  const auto expected = solo.Run(ExistsRequest()).ValueOrDie();
+  const QueryResult& got = results[0].value();
+  ASSERT_EQ(got.probabilities.size(), expected.probabilities.size());
+  for (size_t i = 0; i < expected.probabilities.size(); ++i) {
+    EXPECT_EQ(got.probabilities[i].probability,
+              expected.probabilities[i].probability);
+  }
+  EXPECT_EQ(got.stats.objects_evaluated, kObjects);
+}
+
+// The only member evaluating every object is cancelled mid-pass, but a
+// filtered member reads the same pass: the pass runs on for it, and its
+// answer is bit-identical to a solo run.
+TEST(ExecutorCancelTest, PassRunsOnForAFilteredReader) {
+  Database db = MakeDb(21);
+  QueryExecutor executor(&db, {.num_threads = 1});
+  util::CancellationSource source;
+  source.RequestStopAfterPolls(3);
+  std::vector<QueryRequest> requests(2, ExistsRequest());
+  requests[0].cancel = source.token();
+  requests[1].plan = PlanChoice::kQueryBased;
+  requests[1].object_filter.emplace();
+  for (ObjectId id = 3; id < kObjects; id += 7) {
+    requests[1].object_filter->push_back(id);
+  }
+  const auto results = executor.RunBatch(requests);
+  ASSERT_FALSE(results[0].ok());
+  EXPECT_EQ(results[0].status().code(), util::StatusCode::kCancelled);
+  ASSERT_TRUE(results[1].ok()) << results[1].status();
+
+  QueryExecutor solo(&db, {.num_threads = 1});
+  const auto expected = solo.Run(requests[1]).ValueOrDie();
+  const QueryResult& got = results[1].value();
+  ASSERT_EQ(got.probabilities.size(), expected.probabilities.size());
+  for (size_t i = 0; i < expected.probabilities.size(); ++i) {
+    EXPECT_EQ(got.probabilities[i].id, expected.probabilities[i].id);
+    EXPECT_EQ(got.probabilities[i].probability,
+              expected.probabilities[i].probability);
+  }
+  EXPECT_EQ(got.stats.objects_evaluated, requests[1].object_filter->size());
+}
+
+// A one-member group whose request is cancelled while the group pass runs:
+// the pass stops at the next task, and the member's own subtasks never
+// run.
+TEST(ExecutorCancelTest, OneMemberGroupStopsMidPass) {
+  Database db = MakeDb(20);
+  QueryExecutor executor(&db, {.num_threads = 1});
+  util::CancellationSource source;
+  source.RequestStopAfterPolls(4);  // the submission check, three tasks
+  QueryRequest request = ExistsRequest();
+  request.cancel = source.token();
+  const auto result = executor.Run(request);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kCancelled);
+  const ExecStats& stats = executor.last_run_stats();
+  EXPECT_EQ(stats.objects_evaluated, 3 * util::kStopCheckStride);
+  EXPECT_LT(stats.objects_evaluated, kObjects);
+  EXPECT_EQ(stats.group_subtasks, 0u);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace ustdb

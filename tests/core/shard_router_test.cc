@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/database.h"
@@ -47,6 +50,86 @@ TEST(ResolveNumShardsTest, MalformedEnvironmentIgnored) {
   setenv("USTDB_SHARDS", "0", 1);
   EXPECT_EQ(ShardedDatabase::ResolveNumShards(0), 1u);
   unsetenv("USTDB_SHARDS");
+}
+
+/// The submit path's threshold census reads O(chains) counts: a chain's
+/// load is its object count minus its objects flagged for the
+/// multi-observation engine. Through appends that flag objects (and an
+/// object born multi-observation), it must equal the per-object walk over
+/// the lock-free mirror at every epoch — same chains in ascending global
+/// order, zero loads omitted — at 1, 2 and 4 shards.
+TEST(ShardRouterTest, ChainCountCensusMatchesPerObjectWalk) {
+  const uint64_t seed = ustdb::testing::TestSeed(310);
+  SCOPED_TRACE(ustdb::testing::SeedTrace(seed));
+  for (uint32_t num_shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(num_shards));
+    ShardedSpec spec;
+    spec.seed = seed;
+    spec.num_objects = 60;
+    ShardedPair pair = MakeShardedPair(spec, num_shards);
+    ShardedDatabase& db = pair.sharded;
+    util::Rng rng(seed + num_shards);
+    // A single observation after t = 0 needs the multi-observation engine
+    // from the start.
+    (void)db.AddObjectAt(1, RandomDistribution(spec.num_states, 3, &rng), 2)
+        .ValueOrDie();
+    std::vector<Timestamp> last(db.num_objects(), 0);
+    last.back() = 2;
+
+    using Loads = std::vector<std::pair<ChainId, uint32_t>>;
+    const auto walk = [&db] {
+      std::map<ChainId, uint32_t> loads;
+      for (uint32_t s = 0; s < db.num_shards(); ++s) {
+        const Database& shard = db.shard(s);
+        for (ObjectId local = 0; local < shard.num_objects(); ++local) {
+          if (shard.object_needs_multi_engine(local)) continue;
+          ++loads[db.global_chain(s, shard.object(local).chain)];
+        }
+      }
+      return Loads(loads.begin(), loads.end());
+    };
+    const auto census = [&db] {
+      std::map<ChainId, uint32_t> loads;
+      for (uint32_t s = 0; s < db.num_shards(); ++s) {
+        const Database& shard = db.shard(s);
+        for (ChainId c = 0; c < shard.num_chains(); ++c) {
+          if (const uint32_t n = shard.single_observation_count(c)) {
+            loads[db.global_chain(s, c)] += n;
+          }
+        }
+      }
+      return Loads(loads.begin(), loads.end());
+    };
+    const auto flagged_list_matches = [&db] {
+      for (uint32_t s = 0; s < db.num_shards(); ++s) {
+        const Database& shard = db.shard(s);
+        std::vector<ObjectId> flagged;
+        for (ObjectId local = 0; local < shard.num_objects(); ++local) {
+          if (shard.object_needs_multi_engine(local)) flagged.push_back(local);
+        }
+        std::vector<ObjectId> listed = shard.multi_engine_objects();
+        std::sort(listed.begin(), listed.end());
+        if (listed != flagged) return false;
+      }
+      return true;
+    };
+
+    ASSERT_EQ(census(), walk());
+    ASSERT_TRUE(flagged_list_matches());
+    for (int step = 0; step < 80; ++step) {
+      // Repeats on one object included: only its first append flags it.
+      const ObjectId id =
+          static_cast<ObjectId>(rng.NextBounded(db.num_objects() / 3));
+      last[id] += 1 + static_cast<Timestamp>(rng.NextBounded(3));
+      ASSERT_TRUE(db.AppendObservation(
+                        id, {last[id], RandomDistribution(spec.num_states,
+                                                          spec.num_states,
+                                                          &rng)})
+                      .ok());
+      ASSERT_EQ(census(), walk()) << "after append " << step;
+      ASSERT_TRUE(flagged_list_matches()) << "after append " << step;
+    }
+  }
 }
 
 /// Every member of every global cluster must live on one shard — the

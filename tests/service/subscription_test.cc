@@ -6,7 +6,7 @@
 // subscriptions dirty; window ticks slide windows (and hit the engine
 // cache's shift-extension path); refresh rounds coalesce through one
 // burst; cancellation stops delivery; failed refreshes never consume a
-// sequence number.
+// sequence number, and a failure no retry cures closes the subscription.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "testing/random_models.h"
 #include "testing/sharded_fixture.h"
 #include "testing/test_seed.h"
+#include "util/fault_injector.h"
 #include "util/rng.h"
 
 namespace ustdb {
@@ -346,6 +347,78 @@ TEST(SubscriptionTest, FailedRefreshKeepsSequencesGapFree) {
   EXPECT_EQ(bad.value().last_sequence(), 0u);
   EXPECT_EQ(good_count, 3u);
   EXPECT_EQ(good.value().last_sequence(), 3u);
+}
+
+TEST(SubscriptionTest, PermanentRefreshFailureClosesTheSubscription) {
+  const uint64_t seed = ustdb::testing::TestSeed(912);
+  SCOPED_TRACE(ustdb::testing::SeedTrace(seed));
+  Monitor m(seed, /*num_objects=*/8);
+  QueryService service(&m.db);
+
+  // The deadline-passed subscription of FailedRefreshKeepsSequencesGapFree:
+  // no later round can answer it, so its first failed refresh closes it.
+  core::QueryRequest broken = ThresholdRequest();
+  broken.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  size_t broken_count = 0;
+  auto bad = service.Subscribe(
+      std::move(broken), WindowPolicy{.slide = 0},
+      [&](const SubscriptionDelta&) { ++broken_count; });
+  ASSERT_TRUE(bad.ok());
+  size_t good_count = 0;
+  auto good = service.Subscribe(ThresholdRequest(), WindowPolicy{.slide = 0},
+                                [&](const SubscriptionDelta&) {
+                                  ++good_count;
+                                });
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(bad.value().status().ok());
+  EXPECT_EQ(service.num_subscriptions(), 2u);
+
+  const uint64_t submitted = service.stats().submitted;
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(
+        service.AppendObservation(0, m.NextObs(Timestamp(1 + round))).ok());
+    EXPECT_EQ(service.RefreshSubscriptions(), 1u);
+    if (round == 0) {
+      EXPECT_EQ(bad.value().status().code(),
+                util::StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(service.num_subscriptions(), 1u);
+    }
+  }
+  // Round 1 submits both subscriptions, rounds 2 and 3 the live one only.
+  EXPECT_EQ(service.stats().submitted - submitted, 4u);
+  EXPECT_EQ(broken_count, 0u);
+  EXPECT_EQ(bad.value().last_sequence(), 0u);
+  EXPECT_FALSE(bad.value().cancelled());
+  EXPECT_EQ(good_count, 3u);
+  EXPECT_TRUE(good.value().status().ok());
+}
+
+TEST(SubscriptionTest, TransientRefreshFailureRetriesNextRound) {
+  const uint64_t seed = ustdb::testing::TestSeed(913);
+  SCOPED_TRACE(ustdb::testing::SeedTrace(seed));
+  Monitor m(seed, /*num_objects=*/8);
+  QueryService service(&m.db);
+  std::vector<uint64_t> sequences;
+  auto sub = service.Subscribe(
+      ThresholdRequest(), WindowPolicy{.slide = 0},
+      [&](const SubscriptionDelta& d) { sequences.push_back(d.sequence); });
+  ASSERT_TRUE(sub.ok());
+
+  {
+    // One round whose dispatch fails (kUnavailable): nothing delivered,
+    // the subscription stays registered, live and dirty.
+    util::ScopedFaultInjection scope(
+        util::FaultInjector::Parse("dispatch:fail", 1).ValueOrDie());
+    EXPECT_EQ(service.RefreshSubscriptions(), 0u);
+  }
+  EXPECT_TRUE(sub.value().status().ok());
+  EXPECT_EQ(service.num_subscriptions(), 1u);
+  EXPECT_EQ(sub.value().last_sequence(), 0u);
+
+  // The next round delivers without any new ingest or tick.
+  EXPECT_EQ(service.RefreshSubscriptions(), 1u);
+  EXPECT_EQ(sequences, std::vector<uint64_t>{1});
+  EXPECT_TRUE(sub.value().status().ok());
 }
 
 TEST(SubscriptionTest, SlidingWindowsHitTheShiftExtensionPath) {

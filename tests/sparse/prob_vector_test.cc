@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace ustdb {
 namespace sparse {
@@ -118,6 +121,43 @@ TEST(ProbVectorTest, DotProduct) {
   EXPECT_NEAR(a.Dot(b), 0.2, 1e-15);
   EXPECT_NEAR(b.Dot(a), 0.2, 1e-15);
   EXPECT_DOUBLE_EQ(a.Dot(ProbVector::Zero(5)), 0.0);
+}
+
+/// A normalized vector of dimension `size` with `support` random non-zeros.
+ProbVector RandomVector(uint32_t size, uint32_t support, util::Rng* rng) {
+  std::vector<std::pair<uint32_t, double>> pairs;
+  for (uint32_t i : rng->SampleWithoutReplacement(size, support)) {
+    pairs.emplace_back(i, 0.01 + rng->NextDouble());
+  }
+  return ProbVector::FromPairs(size, std::move(pairs), /*normalize=*/true)
+      .ValueOrDie();
+}
+
+TEST(ProbVectorTest, DotDenseIsBitIdenticalToDot) {
+  util::Rng rng(2207);
+  constexpr uint32_t kSize = 200;
+  for (int trial = 0; trial < 100; ++trial) {
+    // The other operand sparse (10% support) or dense (60%); its dense
+    // view holds zeros outside its support.
+    const bool dense_other = trial % 2 == 1;
+    const ProbVector other =
+        RandomVector(kSize, dense_other ? 120 : 20, &rng);
+    ASSERT_EQ(other.IsSparse(), !dense_other);
+    const std::vector<double> view = other.ToDense();
+    // Sparse pdfs, most of whose entries fall outside a sparse operand's
+    // support, and a dense pdf, which takes Dot.
+    for (uint32_t support : {1u, 5u, 25u, 150u}) {
+      const ProbVector pdf = RandomVector(kSize, support, &rng);
+      ASSERT_EQ(pdf.IsSparse(), support < 60);
+      EXPECT_EQ(pdf.DotDense(other, view.data()), pdf.Dot(other))
+          << "trial " << trial << ", pdf support " << support;
+    }
+  }
+  // A pdf entirely outside the operand's support reads exact zeros.
+  const ProbVector a = ProbVector::FromPairs(6, {{0, 0.5}, {1, 0.5}})
+                           .ValueOrDie();
+  const ProbVector b = ProbVector::FromPairs(6, {{4, 1.0}}).ValueOrDie();
+  EXPECT_EQ(a.DotDense(b, b.ToDense().data()), 0.0);
 }
 
 TEST(ProbVectorTest, PointwiseMultiply) {
