@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/database.h"
@@ -161,6 +162,11 @@ class ShardedDatabase {
   }
   ObjectId global_object(uint32_t shard, ObjectId local) const {
     return shards_[shard].global_objects[local];
+  }
+  /// Global id of every object on `shard`, indexed by local id and always
+  /// ascending. Stable while no structural mutation runs.
+  std::span<const ObjectId> global_objects(uint32_t shard) const {
+    return shards_[shard].global_objects;
   }
 
   /// Σ objects x chain nnz currently resident on shard `s`.

@@ -13,12 +13,13 @@
 #include <unistd.h>
 #endif
 
-#ifndef USTDB_GIT_SHA
-#define USTDB_GIT_SHA "unknown"
-#endif
-
 namespace ustdb {
 namespace obs {
+
+namespace internal {
+/// The build's git revision, generated by cmake/git_sha.cmake.
+extern const char kGitSha[];
+}  // namespace internal
 
 namespace {
 
@@ -399,7 +400,7 @@ std::map<std::string, std::string> CommonMeta() {
   meta["isa"] = kernels::IsaName(kernels::ActiveIsa());
   const char* shards = std::getenv("USTDB_SHARDS");
   meta["ustdb_shards"] = shards != nullptr ? shards : "";
-  meta["git_sha"] = USTDB_GIT_SHA;
+  meta["git_sha"] = internal::kGitSha;
   std::time_t now = std::time(nullptr);
   std::tm utc{};
 #ifndef _WIN32

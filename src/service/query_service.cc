@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -89,8 +90,9 @@ struct SubRoute {
   /// Parent result position of each sub entry, in the sub's evaluation
   /// order. The position predicates (kExists / kForAll / kKTimes) scatter
   /// through it at merge; every predicate reads it to name a failed sub's
-  /// missing objects in a partial answer.
-  std::vector<ObjectId> positions;
+  /// missing objects in a partial answer. An unfiltered sub views its
+  /// shard's id table, a filtered one its gather's filtered_positions.
+  std::span<const ObjectId> positions;
   /// Retry attempts consumed by this sub; guarded by queue_mu_.
   uint32_t attempts = 0;
   /// The health gate admitted this sub as its quarantined shard's one
@@ -101,9 +103,10 @@ struct SubRoute {
 };
 
 /// Scatter-gather state of one parent request: one slot per sub, filled
-/// by shard dispatchers; the dispatcher completing the last sub merges
-/// and resolves the parent on its own thread (the slot writes
-/// happen-before the merge via the acq_rel countdown).
+/// by shard dispatchers; the dispatcher completing the last sub puts the
+/// gather on the service's ready list, and whichever dispatcher takes it
+/// from there merges and resolves the parent (the slot writes
+/// happen-before the merge via the acq_rel countdown and queue_mu_).
 struct GatherState {
   std::shared_ptr<TicketState> parent;
   /// The router pinned kAutoPerChain because a forced kBoundsThenRefine
@@ -112,6 +115,8 @@ struct GatherState {
   /// have recorded.
   bool add_bound_fallback = false;
   std::vector<SubRoute> subs;
+  /// A filtered request's parent positions, one list per shard.
+  std::vector<std::vector<ObjectId>> filtered_positions;
   std::vector<std::optional<util::Result<core::QueryResult>>> results;
   std::atomic<size_t> remaining{0};
 };
@@ -350,7 +355,7 @@ std::vector<Entry> ScatterByPosition(
   for (size_t i = 0; i < gather->subs.size(); ++i) {
     if (!gather->results[i]->ok()) continue;
     std::vector<Entry>& answer = gather->results[i]->value().*entries;
-    const std::vector<ObjectId>& positions = gather->subs[i].positions;
+    const std::span<const ObjectId> positions = gather->subs[i].positions;
     for (size_t j = 0; j < answer.size(); ++j) {
       Entry& slot = out[positions[j]];
       slot = std::move(answer[j]);
@@ -489,23 +494,16 @@ util::Status QueryService::BuildRoute(
   // Bucket the evaluated set per shard, translating global object ids
   // to shard-local ones and remembering each entry's parent result
   // position. Without a filter every shard evaluates its whole local
-  // database, whose local order IS ascending global order.
+  // database, whose local order IS ascending global order, so the
+  // shard's id table is the positions list and nothing is copied.
   std::vector<std::vector<ObjectId>> filters(num_shards);
-  std::vector<std::vector<ObjectId>> positions(num_shards);
   if (filtered) {
+    gather->filtered_positions.resize(num_shards);
     for (size_t p = 0; p < req.object_filter->size(); ++p) {
       const ObjectId global = (*req.object_filter)[p];
       const uint32_t s = sharded_->shard_of_object(global);
       filters[s].push_back(sharded_->local_object(global));
-      positions[s].push_back(static_cast<ObjectId>(p));
-    }
-  } else {
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      const uint32_t n = sharded_->shard(s).num_objects();
-      positions[s].reserve(n);
-      for (ObjectId local = 0; local < n; ++local) {
-        positions[s].push_back(sharded_->global_object(s, local));
-      }
+      gather->filtered_positions[s].push_back(static_cast<ObjectId>(p));
     }
   }
 
@@ -568,11 +566,15 @@ util::Status QueryService::BuildRoute(
     sub.request.k = req.k;
     sub.request.plan = pinned;
     sub.request.degrade = req.degrade;
-    if (filtered) sub.request.object_filter = std::move(filters[s]);
+    if (filtered) {
+      sub.request.object_filter = std::move(filters[s]);
+      sub.positions = gather->filtered_positions[s];
+    } else {
+      sub.positions = sharded_->global_objects(s);
+    }
     sub.request.cancel = req.cancel;  // the parent-linked token
     sub.request.deadline = req.deadline;
     sub.request.trace = req.trace;  // shared: all subs append to it
-    sub.positions = std::move(positions[s]);
     return sub;
   };
   for (uint32_t s = 0; s < num_shards; ++s) {
@@ -921,15 +923,20 @@ void QueryService::DispatcherLoop(uint32_t shard) {
     std::vector<ShardTask> taken;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
+      bool work = false;
       for (;;) {
         // Retries whose backoff elapsed rejoin their lane; on shutdown
         // every pending retry promotes immediately — drain semantics,
         // the backoff no longer buys anything.
         PromoteRetriesLocked(lane, stopping_ ? Clock::time_point::max()
                                              : Clock::now());
-        const bool work =
-            !lane.lanes[0].empty() || !lane.lanes[1].empty();
-        if (stopping_ || (!paused_ && work)) break;
+        work = (stopping_ || !paused_) &&
+               (!lane.lanes[0].empty() || !lane.lanes[1].empty());
+        // Waiting merges wake a paused or stopping dispatcher too: their
+        // subs already ran, so only the merge stands between them and
+        // their tickets.
+        if (work || !ready_.empty()) break;
+        if (stopping_) return;
         if (!paused_ && !lane.retries.empty()) {
           Clock::time_point due = lane.retries.front().due;
           for (const ShardLane::RetryEntry& entry : lane.retries) {
@@ -940,22 +947,21 @@ void QueryService::DispatcherLoop(uint32_t shard) {
           lane.work_cv.wait(lock);
         }
       }
-      if (lane.lanes[0].empty() && lane.lanes[1].empty()) {
-        if (stopping_) return;
-        continue;  // spurious or pause-toggle wake
-      }
       // One lane per drain, interactive whenever it has work — coalescing
       // never crosses lanes, so a batched dispatch cannot make an
       // interactive ticket wait on bulk members' engines. Shutdown drains
       // the same way, iterating until both lanes are empty.
       auto& queue = lane.lanes[0].empty() ? lane.lanes[1] : lane.lanes[0];
-      while (taken.size() < options_.max_batch && !queue.empty()) {
+      while (work && taken.size() < options_.max_batch && !queue.empty()) {
         taken.push_back(std::move(queue.front()));
         queue.pop_front();
       }
     }
-    space_cv_.notify_all();
-    Dispatch(shard, std::move(taken));
+    if (!taken.empty()) {
+      space_cv_.notify_all();
+      Dispatch(shard, std::move(taken));
+    }
+    RunMerges(shard);
   }
 }
 
@@ -1088,9 +1094,34 @@ void QueryService::CompleteSub(const std::shared_ptr<GatherState>& gather,
   // parent cannot resolve while a retry is pending.
   if (MaybeScheduleRetry(gather, sub_index, outcome, shard)) return;
   gather->results[sub_index].emplace(std::move(outcome));
-  // acq_rel: the slot write above happens-before the merging thread's
-  // reads of every slot.
+  // acq_rel: the slot write above happens-before this thread's push, and
+  // queue_mu_ hands every slot to the merging thread.
   if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    ready_.push_back(gather);
+  }
+}
+
+void QueryService::RunMerges(uint32_t shard) {
+  bool woke_others = false;
+  for (;;) {
+    std::shared_ptr<GatherState> gather;
+    bool wake = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      if (ready_.empty()) return;
+      gather = std::move(ready_.front());
+      ready_.pop_front();
+      wake = !woke_others && !ready_.empty();
+    }
+    if (wake) {
+      // Once per drain: a burst's merges spread over every dispatcher,
+      // while a round of tiny merges pays one round of wake-ups at most.
+      woke_others = true;
+      for (uint32_t s = 0; s < shards_.size(); ++s) {
+        if (s != shard) shards_[s]->work_cv.notify_one();
+      }
+    }
     MergeAndResolve(gather, shard);
   }
 }

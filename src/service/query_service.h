@@ -42,6 +42,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -497,7 +498,8 @@ class QueryService {
   void Shutdown();
 
   /// Holds every dispatcher after its current drain; queued and newly
-  /// submitted requests wait until Resume(). Shutdown() overrides a pause.
+  /// submitted requests wait until Resume(), while requests whose subs
+  /// all ran still merge and resolve. Shutdown() overrides a pause.
   void Pause();
   /// Releases a Pause().
   void Resume();
@@ -568,11 +570,15 @@ class QueryService {
   /// runs the rest as one RunBatch (of one entry or many), completes
   /// every sub.
   void Dispatch(uint32_t shard, std::vector<ShardTask> taken);
-  /// Records sub `sub_index`'s outcome; the last sub to land merges and
-  /// resolves the parent on its dispatcher thread.
+  /// Records sub `sub_index`'s outcome; the last sub to land puts the
+  /// gather on the ready list for any dispatcher to merge.
   void CompleteSub(const std::shared_ptr<internal::GatherState>& gather,
                    size_t sub_index, util::Result<core::QueryResult> outcome,
                    uint32_t shard);
+  /// Merges ready gathers on shard `shard`'s dispatcher until the list is
+  /// empty. Finding more than one waiting, it wakes the other dispatchers
+  /// once, so they merge beside it.
+  void RunMerges(uint32_t shard);
   /// Merges sub-results (translation, per-predicate merge, summed stats)
   /// into the parent outcome and resolves it.
   void MergeAndResolve(const std::shared_ptr<internal::GatherState>& gather,
@@ -640,6 +646,8 @@ class QueryService {
   mutable std::mutex queue_mu_;
   std::condition_variable space_cv_;  // wakes blocked producers
   std::vector<std::unique_ptr<ShardLane>> shards_;
+  /// Gathers whose last sub landed, waiting for a merge (RunMerges).
+  std::deque<std::shared_ptr<internal::GatherState>> ready_;
   size_t queue_peak_ = 0;  ///< high-water mark, all lanes and shards
   bool paused_ = false;
   bool stopping_ = false;

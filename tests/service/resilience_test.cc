@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,6 +207,11 @@ TEST(RetryBackoff, NeverBelowOneMillisecond) {
 class QuarantinedShardTest : public ::testing::Test {
  protected:
   QuarantinedShardTest() : pair_(MakeShardedPair(ShardedSpec{}, 2)) {
+    IndexShards();
+  }
+
+  /// Records one object of each shard of pair_ for On().
+  void IndexShards() {
     for (ObjectId id = 0; id < pair_.sharded.num_objects(); ++id) {
       object_on_[pair_.sharded.shard_of_object(id)] = id;
     }
@@ -318,35 +324,52 @@ TEST_F(QuarantinedShardTest, PostGateRefusalKeepsAnotherRequestsProbeSlot) {
 
 /// A partial k-times answer (one shard quarantined) keeps the full
 /// distribution of every object the healthy shard answered, equal to a
-/// QueryExecutor's over the unsharded twin.
+/// QueryExecutor's over the unsharded twin, and names the quarantined
+/// shard's objects missing. The second input has migrated a cluster, so
+/// the shards' id tables were rebuilt.
 TEST_F(QuarantinedShardTest, PartialKTimesKeepsEveryAnsweredDistribution) {
-  ServiceOptions options = Options();
-  options.health.probe_backoff = milliseconds(60'000);  // no probe here
-  options.health.max_probe_backoff = milliseconds(60'000);
-  QueryService service(&pair_.sharded, options);
-  // Quarantine the shard that does not own object 0, so the answered
-  // objects start at the first result position.
-  const uint32_t healthy = pair_.sharded.shard_of_object(0);
-  Quarantine(&service, 1 - healthy);
+  for (const bool migrated : {false, true}) {
+    SCOPED_TRACE(migrated ? "after a rebalance migration" : "fixture");
+    if (migrated) {
+      pair_ = MakeShardedPair(ShardedSpec{.num_families = 5,
+                                          .chains_per_family = 1,
+                                          .num_objects = 150},
+                              2);
+      ASSERT_GT(pair_.sharded.rebalances(), 0u);
+      IndexShards();
+    }
+    ServiceOptions options = Options();
+    options.health.probe_backoff = milliseconds(60'000);  // no probe here
+    options.health.max_probe_backoff = milliseconds(60'000);
+    QueryService service(&pair_.sharded, options);
+    // Quarantine the shard that does not own object 0, so the answered
+    // objects start at the first result position.
+    const uint32_t healthy = pair_.sharded.shard_of_object(0);
+    Quarantine(&service, 1 - healthy);
 
-  core::QueryRequest request = Unfiltered();
-  request.predicate = core::PredicateKind::kKTimes;
-  const auto result = service.Submit(core::QueryRequest(request)).Get();
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(result.value().partial);
-  const auto want =
-      core::QueryExecutor(&pair_.unsharded, {.num_threads = 1}).Run(request);
-  ASSERT_TRUE(want.ok());
+    core::QueryRequest request = Unfiltered();
+    request.predicate = core::PredicateKind::kKTimes;
+    const auto result = service.Submit(core::QueryRequest(request)).Get();
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result.value().partial);
+    const auto want =
+        core::QueryExecutor(&pair_.unsharded, {.num_threads = 1}).Run(request);
+    ASSERT_TRUE(want.ok());
 
-  const std::vector<core::ObjectKTimes>& got = result.value().distributions;
-  ASSERT_FALSE(got.empty());
-  EXPECT_EQ(got.size() + result.value().missing_objects.size(),
-            pair_.sharded.num_objects());
-  for (const core::ObjectKTimes& entry : got) {
-    EXPECT_EQ(pair_.sharded.shard_of_object(entry.id), healthy);
-    EXPECT_EQ(entry.distribution,
-              want.value().distributions[entry.id].distribution)
-        << "object " << entry.id;
+    const std::vector<core::ObjectKTimes>& got = result.value().distributions;
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got.size() + result.value().missing_objects.size(),
+              pair_.sharded.num_objects());
+    for (const core::ObjectKTimes& entry : got) {
+      EXPECT_EQ(pair_.sharded.shard_of_object(entry.id), healthy);
+      EXPECT_EQ(entry.distribution,
+                want.value().distributions[entry.id].distribution)
+          << "object " << entry.id;
+    }
+    const std::span<const ObjectId> quarantined =
+        pair_.sharded.global_objects(1 - healthy);
+    EXPECT_EQ(result.value().missing_objects,
+              std::vector<ObjectId>(quarantined.begin(), quarantined.end()));
   }
 }
 

@@ -4,19 +4,25 @@
 // per-shard lanes drain FIFO with interactive-before-bulk precedence,
 // scattered requests admit all-or-nothing under both backpressure
 // policies, and the scatter counters in ServiceStats account routed
-// fan-out exactly.
+// fan-out exactly. Merges are shared: a burst whose last subs land on
+// one shard is merged by every dispatcher, also across Pause and
+// Shutdown.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/executor.h"
 #include "core/query_request.h"
 #include "core/query_window.h"
+#include "obs/metrics.h"
 #include "service/query_service.h"
 #include "testing/sharded_fixture.h"
 #include "testing/test_seed.h"
+#include "util/fault_injector.h"
 
 namespace ustdb {
 namespace service {
@@ -272,6 +278,150 @@ TEST_F(ShardedRoutingTest, CancelReachesEveryShardSubtask) {
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.solo_dispatches + stats.coalesced_batches, 0u)
       << "a cancelled scatter must not reach any shard executor";
+}
+
+/// A four-shard service under `shard3:stall:50ms;merge:stall:20ms`: shard
+/// 3 lands the last sub of every request in a burst, and each merge is
+/// slow enough to see which dispatcher runs it. Before merges were
+/// shared, shard 3's dispatcher ran all of them one after another.
+class ShardedMergeTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kShards = 4;
+  static constexpr size_t kBurst = 16;
+  static constexpr auto kShardStall = std::chrono::milliseconds(50);
+  static constexpr auto kMergeStall = std::chrono::milliseconds(20);
+
+  /// Eight independent chains, so the rebalance spreads their clusters
+  /// over all four shards.
+  static ShardedSpec MergeSpec() {
+    ShardedSpec spec = RoutingSpec(ustdb::testing::TestSeed(78));
+    spec.num_families = 8;
+    spec.num_objects = 160;
+    return spec;
+  }
+
+  ShardedMergeTest() : spec_(MergeSpec()), pair_(MakeShardedPair(spec_, 4)) {}
+
+  void SetUp() override {
+    for (uint32_t s = 0; s < kShards; ++s) {
+      ASSERT_GT(pair_.sharded.shard(s).num_objects(), 0u) << "shard " << s;
+    }
+  }
+
+  ServiceOptions Options() {
+    ServiceOptions options;
+    options.executor.num_threads = kShards;
+    options.obs.registry = &registry_;
+    return options;
+  }
+
+  static std::unique_ptr<util::FaultInjector> Stalls() {
+    return util::FaultInjector::Parse(
+               "shard3:stall:" + std::to_string(kShardStall.count()) +
+                   "ms;merge:stall:" + std::to_string(kMergeStall.count()) +
+                   "ms",
+               1)
+        .ValueOrDie();
+  }
+
+  std::vector<core::QueryRequest> Burst() const {
+    return std::vector<core::QueryRequest>(kBurst, ExistsRequest(spec_));
+  }
+
+  /// Returns once every shard has run its sub of the burst, one coalesced
+  /// dispatch each; the merges then still wait on their stall.
+  static void AwaitSubs(const QueryService& service) {
+    while (service.stats().coalesced_batches < kShards) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  obs::MetricsRegistry registry_;
+  ShardedSpec spec_;
+  ShardedPair pair_;
+};
+
+/// Shard 3's dispatcher finds 16 merges waiting and wakes the others, who
+/// merge beside it: every answer equals the unsharded RunBatch bit for
+/// bit, requests resolve on at least two shards' dispatchers, and the
+/// burst ends within 8 merge stalls of shard 3's stall (16 in series took
+/// at least 50 + 16 x 20 ms).
+TEST_F(ShardedMergeTest, MergesSpreadAcrossDispatchers) {
+  const std::vector<core::QueryRequest> burst = Burst();
+  const auto want =
+      core::QueryExecutor(&pair_.unsharded, {.num_threads = 1}).RunBatch(burst);
+  QueryService service(&pair_.sharded, Options());
+  util::ScopedFaultInjection scope(Stalls());
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<QueryTicket> tickets = service.SubmitBurst(burst);
+  for (QueryTicket& ticket : tickets) ASSERT_TRUE(ticket.WaitFor(kGetTimeout));
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            kShardStall + 8 * kMergeStall);
+
+  for (size_t i = 0; i < kBurst; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const auto got = tickets[i].Get();
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want[i].ok());
+    const auto& expected = want[i].value().probabilities;
+    ASSERT_EQ(got.value().probabilities.size(), expected.size());
+    for (size_t j = 0; j < expected.size(); ++j) {
+      EXPECT_EQ(got.value().probabilities[j].id, expected[j].id);
+      EXPECT_EQ(got.value().probabilities[j].probability,
+                expected[j].probability);
+    }
+  }
+
+  // The latency histogram's shard label names the merging dispatcher.
+  uint32_t merging_shards = 0;
+  for (const obs::MetricFamily& family : registry_.Snapshot().families) {
+    if (family.name != "ustdb_service_request_latency_seconds") continue;
+    for (const obs::MetricPoint& point : family.points) {
+      if (point.histogram.count > 0) ++merging_shards;
+    }
+  }
+  EXPECT_GE(merging_shards, 2u);
+}
+
+/// Shutdown while the burst's merges wait on their stall: the dispatchers
+/// merge before they exit, so every ticket has resolved, once, when
+/// Shutdown returns.
+TEST_F(ShardedMergeTest, ShutdownWhileMergesWaitResolvesEveryTicketOnce) {
+  QueryService service(&pair_.sharded, Options());
+  util::ScopedFaultInjection scope(Stalls());
+  std::vector<QueryTicket> tickets = service.SubmitBurst(Burst());
+  AwaitSubs(service);
+  service.Shutdown();
+
+  for (QueryTicket& ticket : tickets) {
+    ASSERT_TRUE(ticket.resolved());
+    EXPECT_TRUE(ticket.Get().ok());
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, kBurst);
+  EXPECT_EQ(stats.completed, kBurst);
+  EXPECT_EQ(stats.failed + stats.cancelled + stats.deadline_expired +
+                stats.rejected,
+            0u);
+}
+
+/// Pause holds the lanes, not the merges: once the subs ran, a paused
+/// service still resolves the tickets they belong to.
+TEST_F(ShardedMergeTest, PauseAfterTheSubsRanStillResolves) {
+  QueryService service(&pair_.sharded, Options());
+  util::ScopedFaultInjection scope(Stalls());
+  std::vector<QueryTicket> tickets = service.SubmitBurst(Burst());
+  AwaitSubs(service);
+  service.Pause();
+  EXPECT_FALSE(tickets.back().resolved() && tickets.front().resolved())
+      << "the merges finished before the pause; nothing was exercised";
+
+  for (QueryTicket& ticket : tickets) {
+    ASSERT_TRUE(ticket.WaitFor(kGetTimeout));
+    EXPECT_TRUE(ticket.Get().ok());
+  }
+  service.Resume();
 }
 
 }  // namespace
