@@ -97,10 +97,7 @@ ChainId Database::AddChain(markov::MarkovChain chain) {
       break;
     }
   }
-  if (cluster == clusters_.size()) {
-    clusters_.push_back({id, {}});
-    cluster_epoch_.push_back(0);
-  }
+  if (cluster == clusters_.size()) clusters_.push_back({id, {}});
   clusters_[cluster].members.push_back(id);
   cluster_of_.push_back(cluster);
   return id;
@@ -119,7 +116,6 @@ ChainId Database::AddChainToClusterOf(markov::MarkovChain chain,
   } else {
     cluster = static_cast<uint32_t>(clusters_.size());
     clusters_.push_back({id, {}});
-    cluster_epoch_.push_back(0);
   }
   clusters_[cluster].members.push_back(id);
   cluster_of_.push_back(cluster);
@@ -165,7 +161,6 @@ ObjectId Database::ReAddNormalizedObject(
 
 void Database::RegisterObject(ObjectId id, ChainId chain) {
   by_chain_[chain].push_back(id);
-  object_epoch_.push_back(0);
   const bool multi = objects_[id].needs_multi_observation_engine();
   multi_engine_->emplace_back(multi);
   if (multi) {
@@ -212,9 +207,7 @@ util::Result<DataVersion> Database::AppendObservationAtVersion(
     multi_objects_.push_back(id);
   }
   version_ = version;
-  object_epoch_[id] = version;
   chain_epoch_[object.chain] = version;
-  cluster_epoch_[cluster_of_[object.chain]] = version;
   return version;
 }
 

@@ -112,10 +112,10 @@ class Database {
   /// sorted-history invariant is enforced — a time at or before the
   /// object's latest observation rejects with kInvalidArgument rather
   /// than silently corrupting the history. On success the database-wide
-  /// version advances and is recorded as the object's and its chain's
-  /// epoch; the cluster registry is untouched (the object's chain — and
-  /// therefore its cluster membership — never changes), so an append
-  /// never re-runs the capped leader scan.
+  /// version advances and is recorded as its chain's epoch; the cluster
+  /// registry is untouched (the object's chain — and therefore its
+  /// cluster membership — never changes), so an append never re-runs the
+  /// capped leader scan.
   util::Result<DataVersion> AppendObservation(ObjectId id, Observation obs);
 
   /// \brief AppendObservation with a caller-allocated version stamp,
@@ -133,18 +133,9 @@ class Database {
   DataVersion data_version() const { return version_; }
 
   /// Epoch of the latest mutation touching an object of `chain`
-  /// (0 = never mutated). Cache entries derived from this chain carry
+  /// (0 = never mutated). Cached backward passes over this chain carry
   /// the epoch they were built at and go stale when it advances.
   DataVersion chain_epoch(ChainId chain) const { return chain_epoch_[chain]; }
-
-  /// Epoch of the latest mutation of cluster `cluster` (any member
-  /// chain); tags the cluster-keyed envelope/bounds cache stores.
-  DataVersion cluster_epoch(uint32_t cluster) const {
-    return cluster_epoch_[cluster];
-  }
-
-  /// Epoch of object `id`'s latest appended observation (0 = frozen).
-  DataVersion object_epoch(ObjectId id) const { return object_epoch_[id]; }
 
   /// \brief Lock-free mirror of object(id).needs_multi_observation_engine(),
   /// safe to read while another thread appends observations. The service's
@@ -208,7 +199,7 @@ class Database {
   static constexpr double kChainClusterL1Threshold = 0.6;
 
  private:
-  /// Registers `id` in by_chain_ and the epoch / census side tables.
+  /// Registers `id` in by_chain_ and the census side tables.
   void RegisterObject(ObjectId id, ChainId chain);
 
   std::vector<markov::MarkovChain> chains_;
@@ -217,9 +208,7 @@ class Database {
   std::vector<ChainCluster> clusters_;
   std::vector<uint32_t> cluster_of_;  // parallel to chains_
   DataVersion version_ = 0;
-  std::vector<DataVersion> chain_epoch_;    // parallel to chains_
-  std::vector<DataVersion> cluster_epoch_;  // parallel to clusters_
-  std::vector<DataVersion> object_epoch_;   // parallel to objects_
+  std::vector<DataVersion> chain_epoch_;  // parallel to chains_
   /// deque: push_back never relocates existing atomics, so the census
   /// mirror stays readable lock-free while objects are added. Held behind
   /// a unique_ptr so Database stays nothrow-movable (libstdc++'s deque

@@ -80,61 +80,50 @@ const QueryBasedEngine* EngineCache::Put(
   bool invalidated = false;
   const std::unique_ptr<QueryBasedEngine>* cached = passes_.Put(
       Key{chain, window.region().elements(), window.times()},
-      std::move(engine), epoch, capacity_, &evicted, &invalidated);
+      std::move(engine), capacity_, &evicted, epoch, &invalidated);
   if (evicted) ++stats_.evictions;
   if (invalidated) ++stats_.invalidations;
   return cached->get();
 }
 
 const markov::IntervalMarkovChain* EngineCache::LookupEnvelope(
-    ChainId leader, uint32_t num_members, DataVersion epoch) {
-  bool invalidated = false;
+    ChainId leader, uint32_t num_members) {
   const markov::IntervalMarkovChain* hit =
-      envelopes_.Lookup(ClusterKey{leader, num_members}, epoch, &invalidated);
-  if (invalidated) ++stats_.invalidations;
+      envelopes_.Lookup(ClusterKey{leader, num_members});
   ++(hit != nullptr ? stats_.bound_hits : stats_.bound_misses);
   return hit;
 }
 
 const markov::IntervalMarkovChain* EngineCache::PutEnvelope(
-    ChainId leader, uint32_t num_members, markov::IntervalMarkovChain envelope,
-    DataVersion epoch) {
+    ChainId leader, uint32_t num_members,
+    markov::IntervalMarkovChain envelope) {
   InjectCacheAdmissionFault();
   bool evicted = false;
-  bool invalidated = false;
-  const markov::IntervalMarkovChain* cached = envelopes_.Put(
-      ClusterKey{leader, num_members}, std::move(envelope), epoch, capacity_,
-      &evicted, &invalidated);
+  const markov::IntervalMarkovChain* cached =
+      envelopes_.Put(ClusterKey{leader, num_members}, std::move(envelope),
+                     capacity_, &evicted);
   if (evicted) ++stats_.bound_evictions;
-  if (invalidated) ++stats_.invalidations;
   return cached;
 }
 
 const std::vector<markov::ProbBound>* EngineCache::LookupBounds(
-    ChainId leader, uint32_t num_members, const QueryWindow& window,
-    DataVersion epoch) {
-  bool invalidated = false;
-  const std::vector<markov::ProbBound>* hit = bounds_.Lookup(
-      BoundsKey{{leader, num_members}, window.region().elements(),
-                window.times()},
-      epoch, &invalidated);
-  if (invalidated) ++stats_.invalidations;
+    ChainId leader, uint32_t num_members, const QueryWindow& window) {
+  const std::vector<markov::ProbBound>* hit = bounds_.Lookup(BoundsKey{
+      {leader, num_members}, window.region().elements(), window.times()});
   ++(hit != nullptr ? stats_.bound_hits : stats_.bound_misses);
   return hit;
 }
 
 const std::vector<markov::ProbBound>* EngineCache::PutBounds(
     ChainId leader, uint32_t num_members, const QueryWindow& window,
-    std::vector<markov::ProbBound> bounds, DataVersion epoch) {
+    std::vector<markov::ProbBound> bounds) {
   InjectCacheAdmissionFault();
   bool evicted = false;
-  bool invalidated = false;
   const std::vector<markov::ProbBound>* cached = bounds_.Put(
       BoundsKey{{leader, num_members}, window.region().elements(),
                 window.times()},
-      std::move(bounds), epoch, capacity_, &evicted, &invalidated);
+      std::move(bounds), capacity_, &evicted);
   if (evicted) ++stats_.bound_evictions;
-  if (invalidated) ++stats_.invalidations;
   return cached;
 }
 

@@ -35,10 +35,11 @@ struct EngineCacheStats {
   uint64_t bound_hits = 0;       ///< envelope + bound-pass lookups served
   uint64_t bound_misses = 0;     ///< envelope + bound-pass lookups missed
   uint64_t bound_evictions = 0;  ///< entries displaced from either store
-  /// Entries (any store) dropped at lookup because their build epoch no
+  /// Backward passes dropped at lookup because their build epoch no
   /// longer matches the caller's — the lazy per-chain invalidation of the
-  /// ingest path. Every stale drop also counts as a miss in its store's
-  /// hit/miss pair; the cache is never flushed wholesale by a mutation.
+  /// ingest path. Every stale drop also counts as a miss; the cache is
+  /// never flushed wholesale by a mutation. The cluster stores carry no
+  /// epoch (see EngineCache).
   uint64_t invalidations = 0;
   /// Engines built by extending a cached shifted-window base (delta
   /// propagation steps) instead of a cold full backward pass.
@@ -55,12 +56,13 @@ struct EngineCacheStats {
 /// evicts, builds the misses in parallel, and admits them with Put() only
 /// after evaluation — so no admission can evict a pass still borrowed.
 ///
-/// Every store method takes the caller's current `epoch` for the data the
-/// entry derives from (Database::chain_epoch for the engine store,
-/// cluster_epoch for the cluster stores; 0 — the default — for frozen
-/// databases, making the tag a no-op). An entry is served only at the
-/// epoch it was built at: a lookup that finds a stale entry drops it,
-/// counting an invalidation plus the ordinary miss.
+/// The backward-pass store's methods take the caller's current `epoch`
+/// (Database::chain_epoch; 0 — the default — for frozen databases, making
+/// the tag a no-op). A pass is served only at the epoch it was built at: a
+/// lookup that finds a stale one drops it, counting an invalidation plus
+/// the ordinary miss. The cluster stores (envelopes, bound passes) carry
+/// no epoch: their entries depend only on the member chains and the
+/// window, which an append never changes.
 class EngineCache {
  public:
   /// \param capacity maximum number of cached engines (>= 1).
@@ -118,15 +120,14 @@ class EngineCache {
   /// dispatch table — a hit never depends on which ISA built or reuses
   /// the entry, even across a runtime kernels::SetActiveIsa() flip.
   const markov::IntervalMarkovChain* LookupEnvelope(ChainId leader,
-                                                    uint32_t num_members,
-                                                    DataVersion epoch = 0);
+                                                    uint32_t num_members);
 
   /// \brief Inserts a cluster envelope, evicting the least-recently-used
   /// envelope when full; returns the cached instance (the existing one if
-  /// the key was already present at this epoch).
+  /// the key was already present).
   const markov::IntervalMarkovChain* PutEnvelope(
       ChainId leader, uint32_t num_members,
-      markov::IntervalMarkovChain envelope, DataVersion epoch = 0);
+      markov::IntervalMarkovChain envelope);
 
   /// \brief Cached per-start-state bound pass of one (cluster, window)
   /// pair, or nullptr (recording a bound hit/miss). The pointer stays
@@ -134,15 +135,14 @@ class EngineCache {
   /// whatever the producer computed — the executor stores upper-only
   /// passes (lo pinned to 0).
   const std::vector<markov::ProbBound>* LookupBounds(
-      ChainId leader, uint32_t num_members, const QueryWindow& window,
-      DataVersion epoch = 0);
+      ChainId leader, uint32_t num_members, const QueryWindow& window);
 
   /// \brief Inserts a computed bound pass for (cluster, window), evicting
   /// the least-recently-used bound pass when full; returns the cached
   /// instance.
   const std::vector<markov::ProbBound>* PutBounds(
       ChainId leader, uint32_t num_members, const QueryWindow& window,
-      std::vector<markov::ProbBound> bounds, DataVersion epoch = 0);
+      std::vector<markov::ProbBound> bounds);
 
   size_t size() const { return passes_.lru.size(); }
   size_t capacity() const { return capacity_; }
@@ -173,7 +173,9 @@ class EngineCache {
   /// cluster stores; V is the cached payload, K must be strictly ordered.
   /// Every node carries the epoch it was admitted at; a lookup at a
   /// different epoch drops the node (lazy invalidation, reported via
-  /// `invalidated`).
+  /// `invalidated`). Only the backward-pass store passes epochs: the
+  /// cluster stores admit and look up every node at 0, so theirs never
+  /// go stale.
   template <typename K, typename V>
   struct LruStore {
     struct Node {
@@ -186,7 +188,8 @@ class EngineCache {
 
     /// Returns the payload and refreshes recency, or nullptr. A stale
     /// node reads as a miss and is dropped, setting `*invalidated`.
-    V* Lookup(const K& key, DataVersion epoch, bool* invalidated) {
+    V* Lookup(const K& key, DataVersion epoch = 0,
+              bool* invalidated = nullptr) {
       auto it = index.find(key);
       if (it == index.end()) return nullptr;
       if (it->second->epoch != epoch) {
@@ -202,8 +205,8 @@ class EngineCache {
     /// Inserts (keeping any same-epoch existing entry; replacing a stale
     /// one, reported via `invalidated`); `evicted` reports an LRU entry
     /// displaced to stay within `capacity`.
-    V* Put(const K& key, V value, DataVersion epoch, size_t capacity,
-           bool* evicted, bool* invalidated) {
+    V* Put(const K& key, V value, size_t capacity, bool* evicted,
+           DataVersion epoch = 0, bool* invalidated = nullptr) {
       if (V* existing = Lookup(key, epoch, invalidated)) return existing;
       *evicted = lru.size() >= capacity;
       if (*evicted) {

@@ -67,21 +67,6 @@ util::Status StopStatus(StopReason reason) {
              : util::Status::DeadlineExceeded("query deadline exceeded");
 }
 
-/// Submission-time stop check of the RunBatch census: a request that is
-/// already cancelled or past its deadline fails before any engine is built
-/// or object evaluated.
-util::Status CheckNotStopped(const QueryRequest& request) {
-  if (request.cancel.stop_requested()) {
-    return util::Status::Cancelled("query cancelled before execution");
-  }
-  if (request.deadline.has_value() &&
-      std::chrono::steady_clock::now() >= *request.deadline) {
-    return util::Status::DeadlineExceeded(
-        "query deadline passed before execution");
-  }
-  return util::Status::OK();
-}
-
 /// The cooperative stop predicate of every evaluation loop: polls
 /// the request's token and deadline, latching which reason fired first.
 /// Thread-safe; workers racing the latch may each record a reason, any
@@ -435,24 +420,58 @@ util::Status CheckWindowDomain(const QueryWindow& window,
       window.region().domain_size(), chain.num_states()));
 }
 
-util::Status QueryExecutor::ValidateRequest(
-    const QueryRequest& request) const {
+util::Status ValidateRequest(const Database& db, const QueryRequest& request) {
   if (!request.object_filter.has_value()) {
-    for (ChainId c = 0; c < db_->num_chains(); ++c) {
-      if (db_->objects_by_chain()[c].empty()) continue;
-      USTDB_RETURN_NOT_OK(CheckWindowDomain(request.window, db_->chain(c)));
+    for (ChainId c = 0; c < db.num_chains(); ++c) {
+      if (db.objects_by_chain()[c].empty()) continue;
+      USTDB_RETURN_NOT_OK(CheckWindowDomain(request.window, db.chain(c)));
     }
     return util::Status::OK();
   }
   for (ObjectId id : *request.object_filter) {
-    if (id >= db_->num_objects()) {
+    if (id >= db.num_objects()) {
       return util::Status::InvalidArgument(
           "object_filter references an id outside the database");
     }
-    USTDB_RETURN_NOT_OK(CheckWindowDomain(
-        request.window, db_->chain(db_->object(id).chain)));
+    USTDB_RETURN_NOT_OK(
+        CheckWindowDomain(request.window, db.chain(db.object(id).chain)));
   }
   return util::Status::OK();
+}
+
+util::Status CheckNotStopped(const QueryRequest& request) {
+  if (request.cancel.stop_requested()) {
+    return util::Status::Cancelled("query cancelled before execution");
+  }
+  if (request.deadline.has_value() &&
+      std::chrono::steady_clock::now() >= *request.deadline) {
+    return util::Status::DeadlineExceeded(
+        "query deadline passed before execution");
+  }
+  return util::Status::OK();
+}
+
+void OrderAnswer(const QueryRequest& request,
+                 std::vector<ObjectProbability>* answer) {
+  if (request.predicate == PredicateKind::kThresholdExists) {
+    std::sort(answer->begin(), answer->end(),
+              [](const ObjectProbability& a, const ObjectProbability& b) {
+                return a.id < b.id;
+              });
+  } else if (request.predicate == PredicateKind::kTopKExists) {
+    // A strict total order over unique ids: the truncated prefix does not
+    // depend on the order the entries arrived in.
+    const size_t take = std::min<size_t>(request.k, answer->size());
+    std::partial_sort(
+        answer->begin(), answer->begin() + take, answer->end(),
+        [](const ObjectProbability& a, const ObjectProbability& b) {
+          if (a.probability != b.probability) {
+            return a.probability > b.probability;
+          }
+          return a.id < b.id;
+        });
+    answer->resize(take);
+  }
 }
 
 void QueryExecutor::PartitionByCluster(
@@ -475,30 +494,24 @@ QueryExecutor::ClusterBounds(uint32_t cluster_index, const QueryWindow& window,
   const ChainCluster& cluster = db_->chain_clusters()[cluster_index];
   const ChainId leader = cluster.leader;
   const uint32_t num_members = static_cast<uint32_t>(cluster.members.size());
-  // Cluster stores are tagged with the cluster's epoch: a mutation of any
-  // member chain's object drops this cluster's entries lazily while every
-  // other cluster keeps its envelope and bound passes.
-  const DataVersion epoch = db_->cluster_epoch(cluster_index);
   if (const std::vector<markov::ProbBound>* bounds =
-          cache_.LookupBounds(leader, num_members, window, epoch)) {
+          cache_.LookupBounds(leader, num_members, window)) {
     return bounds;
   }
   const markov::IntervalMarkovChain* envelope =
-      cache_.LookupEnvelope(leader, num_members, epoch);
+      cache_.LookupEnvelope(leader, num_members);
   if (envelope == nullptr) {
     std::vector<const markov::MarkovChain*> members;
     members.reserve(cluster.members.size());
     for (ChainId c : cluster.members) members.push_back(&db_->chain(c));
     USTDB_ASSIGN_OR_RETURN(markov::IntervalMarkovChain built,
                            markov::IntervalMarkovChain::FromChains(members));
-    envelope =
-        cache_.PutEnvelope(leader, num_members, std::move(built), epoch);
+    envelope = cache_.PutEnvelope(leader, num_members, std::move(built));
   }
   return cache_.PutBounds(
       leader, num_members, window,
       envelope->BoundExists(window.region(), window.t_begin(), window.t_end(),
-                            with_lower),
-      epoch);
+                            with_lower));
 }
 
 util::Status QueryExecutor::BoundClusters(
@@ -599,9 +612,9 @@ util::Result<QueryResult> QueryExecutor::RunDegradedBounds(
   for (ObjectId id : unbounded) {
     result.undecided.push_back({id, 0.0, 1.0});
   }
-  const auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
-  std::sort(result.probabilities.begin(), result.probabilities.end(), by_id);
-  std::sort(result.undecided.begin(), result.undecided.end(), by_id);
+  OrderAnswer(request, &result.probabilities);
+  std::sort(result.undecided.begin(), result.undecided.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
   return result;
 }
 
@@ -709,6 +722,7 @@ void QueryExecutor::AssembleExistsResult(const QueryRequest& request,
   switch (request.predicate) {
     case PredicateKind::kExists:
     case PredicateKind::kForAll:
+    case PredicateKind::kTopKExists:
       result->probabilities.reserve(ids.size());
       for (size_t i = 0; i < ids.size(); ++i) {
         result->probabilities.push_back(
@@ -719,33 +733,11 @@ void QueryExecutor::AssembleExistsResult(const QueryRequest& request,
       for (size_t i = 0; i < ids.size(); ++i) {
         if (keep[i] != 0) result->probabilities.push_back({ids[i], probs[i]});
       }
-      std::sort(result->probabilities.begin(), result->probabilities.end(),
-                [](const ObjectProbability& a, const ObjectProbability& b) {
-                  return a.id < b.id;
-                });
       break;
-    case PredicateKind::kTopKExists: {
-      result->probabilities.reserve(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        result->probabilities.push_back({ids[i], probs[i]});
-      }
-      const size_t take =
-          std::min<size_t>(request.k, result->probabilities.size());
-      std::partial_sort(
-          result->probabilities.begin(),
-          result->probabilities.begin() + take, result->probabilities.end(),
-          [](const ObjectProbability& a, const ObjectProbability& b) {
-            if (a.probability != b.probability) {
-              return a.probability > b.probability;
-            }
-            return a.id < b.id;
-          });
-      result->probabilities.resize(take);
-      break;
-    }
     case PredicateKind::kKTimes:
       break;  // handled by the k-times path
   }
+  OrderAnswer(request, &result->probabilities);
 }
 
 void QueryExecutor::EvaluateKTimesRange(
@@ -861,13 +853,12 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   std::map<GroupKey, size_t> group_index;
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& request = requests[i];
-    if (util::Status status = ValidateRequest(request); !status.ok()) {
+    if (util::Status status = ValidateRequest(*db_, request); !status.ok()) {
       results[i] = std::move(status);
       continue;
     }
     // Requests already cancelled or expired at submission never join a
-    // group — the dispatcher above us relies on this to resolve stale
-    // tickets without paying for engines they will not use.
+    // group, so they pay for no engine.
     if (util::Status status = CheckNotStopped(request); !status.ok()) {
       results[i] = std::move(status);
       continue;

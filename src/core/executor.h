@@ -66,11 +66,33 @@ struct ExecutorOptions {
 
 /// \brief kInvalidArgument unless `window` is over `chain`'s state space:
 /// every engine requires window.region().domain_size() ==
-/// chain.num_states(), and asserts it only in debug builds. The executor
-/// and the service's admission apply it to every chain a request
-/// evaluates, before any engine runs.
+/// chain.num_states(), and asserts it only in debug builds. ValidateRequest
+/// applies it to every chain a request evaluates, before any engine runs.
 util::Status CheckWindowDomain(const QueryWindow& window,
                                const markov::MarkovChain& chain);
+
+/// \brief The admission check of every request over `db`: filter ids in
+/// range, and the window over the state space of every chain the request
+/// evaluates (CheckWindowDomain) — each chain holding objects without a
+/// filter (O(chains)), each filtered object's chain with one (O(filter)).
+/// RunBatch applies it to every member, the service's router to each
+/// shard's translated sub-request.
+util::Status ValidateRequest(const Database& db, const QueryRequest& request);
+
+/// \brief kCancelled once request.cancel has tripped, kDeadlineExceeded
+/// once request.deadline has passed, else OK. RunBatch checks every member
+/// before it joins a group, the service's dispatcher every dequeued
+/// sub-request, so a stale request never pays for an engine.
+util::Status CheckNotStopped(const QueryRequest& request);
+
+/// \brief Puts `answer` in the order of request.predicate:
+/// kThresholdExists by ascending id; kTopKExists by descending probability,
+/// ties by ascending id, truncated to request.k. Other predicates keep
+/// their evaluation order. The executor orders its answers with it and the
+/// service's merge re-orders the shards' combined answers with it, so a
+/// sharded answer is ordered exactly like an unsharded one.
+void OrderAnswer(const QueryRequest& request,
+                 std::vector<ObjectProbability>* answer);
 
 /// \brief Plans and executes QueryRequests over one Database.
 ///
@@ -81,11 +103,9 @@ util::Status CheckWindowDomain(const QueryWindow& window,
 /// be mutated while a run is in flight (the service layer serializes
 /// ingest against dispatch with a per-shard lock). The Database must
 /// outlive the executor. Between runs, Database::AppendObservation is
-/// safe without ClearCache(): every cache entry is tagged with the epoch
-/// of the data it derives from, and a lookup at a newer epoch lazily
-/// drops exactly the stale entry (EngineCacheStats::invalidations) —
-/// untouched chains keep their passes. ClearCache() remains for chain
-/// replacement, which reuses chain storage addresses.
+/// safe: the engine cache lazily drops exactly the backward passes over
+/// the appended object's chain (EngineCacheStats::invalidations), and its
+/// cluster stores carry no epoch (see EngineCache).
 class QueryExecutor {
  public:
   /// \param db the database to serve; must outlive the executor.
@@ -102,7 +122,7 @@ class QueryExecutor {
   /// one request, so every rule below applies to it. See QueryResult for
   /// per-predicate output conventions. Fails with kInvalidArgument on
   /// out-of-range filter ids or a window over another state count than a
-  /// chain the request evaluates (CheckWindowDomain), and with
+  /// chain the request evaluates (ValidateRequest), and with
   /// kUnimplemented for PSTkQ over multi-observation objects (outside the
   /// paper's framework). Its stats
   /// report batch_group_members == 1 and, once it evaluated any object,
@@ -198,11 +218,6 @@ class QueryExecutor {
   /// the metrics the executor exports.
   const ExecStats& last_run_stats() const { return last_stats_; }
 
-  /// Drops every cached engine. Not needed after AppendObservation
-  /// (epoch tags invalidate lazily, per chain); required only when chain
-  /// storage itself is replaced.
-  void ClearCache() { cache_.Clear(); }
-
   /// The planner whose cost model drives OB/QB selection.
   const QueryPlanner& planner() const { return planner_; }
   /// The database this executor serves.
@@ -246,12 +261,6 @@ class QueryExecutor {
 
   /// The registered metrics collector: every series, read as of now.
   void CollectMetrics(obs::MetricsWriter* out) const;
-
-  /// The admission check of every member: filter ids in range, and the
-  /// window over the state space of every chain the request evaluates —
-  /// each chain holding objects without a filter (O(chains)), each
-  /// filtered object's chain with one (O(filter)).
-  util::Status ValidateRequest(const QueryRequest& request) const;
 
   /// RunBatch body; the public wrapper adds the fault boundary and the one
   /// use of `stats` (one entry per request, filled whatever the member's

@@ -109,11 +109,6 @@ struct SubRoute {
 /// happen-before the merge via the acq_rel countdown and queue_mu_).
 struct GatherState {
   std::shared_ptr<TicketState> parent;
-  /// The router pinned kAutoPerChain because a forced kBoundsThenRefine
-  /// request had an ineligible (non-contiguous) window; the merge adds
-  /// the single bound_fallbacks increment the unsharded executor would
-  /// have recorded.
-  bool add_bound_fallback = false;
   std::vector<SubRoute> subs;
   /// A filtered request's parent positions, one list per shard.
   std::vector<std::vector<ObjectId>> filtered_positions;
@@ -306,7 +301,8 @@ ServiceOptions Sanitize(ServiceOptions options) {
 /// PruneStats sums equal the unsharded run's), threads_used sums the
 /// shard slices, batch_group_members takes the max (groups never span
 /// shards, so "largest group this request shared" is the honest global
-/// reading).
+/// reading), and so does bound_fallbacks: every shard executor that falls
+/// back counts the request's one fallback.
 void AccumulateStats(const core::ExecStats& in, core::ExecStats* out) {
   out->chains_object_based += in.chains_object_based;
   out->chains_query_based += in.chains_query_based;
@@ -327,7 +323,8 @@ void AccumulateStats(const core::ExecStats& in, core::ExecStats* out) {
   out->prune.objects_decided_by_bounds += in.prune.objects_decided_by_bounds;
   out->prune.objects_refined += in.prune.objects_refined;
   out->prune.objects_decided_early += in.prune.objects_decided_early;
-  out->prune.bound_fallbacks += in.prune.bound_fallbacks;
+  out->prune.bound_fallbacks =
+      std::max(out->prune.bound_fallbacks, in.prune.bound_fallbacks);
 }
 
 /// The parent's id at result position `position`: its filter entry, or —
@@ -450,43 +447,9 @@ std::shared_ptr<TicketState> QueryService::PrepareState(
   return state;
 }
 
-util::Status QueryService::ValidateRequest(
-    const core::QueryRequest& request) const {
-  // The executor's own check (QueryExecutor::ValidateRequest) over global
-  // ids, with the same messages. Reading an object's chain races no
-  // append: appends touch only its observation history.
-  if (!request.object_filter.has_value()) {
-    for (uint32_t s = 0; s < sharded_->num_shards(); ++s) {
-      const core::Database& db = sharded_->shard(s);
-      for (ChainId c = 0; c < db.num_chains(); ++c) {
-        if (db.objects_by_chain()[c].empty()) continue;
-        USTDB_RETURN_NOT_OK(core::CheckWindowDomain(request.window,
-                                                    db.chain(c)));
-      }
-    }
-    return util::Status::OK();
-  }
-  for (ObjectId global : *request.object_filter) {
-    if (global >= sharded_->num_objects()) {
-      return util::Status::InvalidArgument(
-          "object_filter references an id outside the database");
-    }
-    const core::Database& db =
-        sharded_->shard(sharded_->shard_of_object(global));
-    USTDB_RETURN_NOT_OK(core::CheckWindowDomain(
-        request.window,
-        db.chain(db.object(sharded_->local_object(global)).chain)));
-  }
-  return util::Status::OK();
-}
-
 util::Status QueryService::BuildRoute(
-    const std::shared_ptr<TicketState>& state,
-    std::shared_ptr<GatherState>* out) const {
-  const core::QueryRequest& req = state->request;
-  USTDB_RETURN_NOT_OK(ValidateRequest(req));
+    const core::QueryRequest& req, std::shared_ptr<GatherState>* out) const {
   auto gather = std::make_shared<GatherState>();
-  gather->parent = state;
 
   const uint32_t num_shards = sharded_->num_shards();
   const bool filtered = req.object_filter.has_value();
@@ -501,61 +464,60 @@ util::Status QueryService::BuildRoute(
     gather->filtered_positions.resize(num_shards);
     for (size_t p = 0; p < req.object_filter->size(); ++p) {
       const ObjectId global = (*req.object_filter)[p];
+      // Checked here: shard_of_object does not bounds-check its index.
+      if (global >= sharded_->num_objects()) {
+        return util::Status::InvalidArgument(
+            "object_filter references an id outside the database");
+      }
       const uint32_t s = sharded_->shard_of_object(global);
       filters[s].push_back(sharded_->local_object(global));
       gather->filtered_positions[s].push_back(static_cast<ObjectId>(p));
     }
   }
 
-  // Whole-request plan decision for kThresholdExists, made ONCE from
-  // the global view: ChooseThresholdPlan's break-even sums over every
-  // chain of the request, so per-shard re-decisions could diverge from
-  // the unsharded pipeline. Sub-requests get the outcome pinned —
-  // kBoundsThenRefine (forced; each shard bounds its own co-located
-  // clusters) or kAutoPerChain (per-chain cost model, never the
-  // whole-request bound plan).
+  // Whole-request plan decision for a kAuto kThresholdExists request over
+  // a contiguous window, made ONCE from the global view:
+  // ChooseThresholdPlan's break-even sums over every chain of the
+  // request, so per-shard re-decisions could diverge from the unsharded
+  // pipeline. Sub-requests get the outcome pinned — kBoundsThenRefine
+  // (each shard bounds its own co-located clusters) or kAutoPerChain
+  // (per-chain cost model, never the whole-request bound plan). Every
+  // other request reaches the shards with its own plan: each shard
+  // executor applies the bound plan's eligibility rule itself and counts
+  // its own fallback.
   core::PlanChoice pinned = req.plan;
-  bool add_fallback = false;
   if (req.predicate == core::PredicateKind::kThresholdExists &&
-      (req.plan == core::PlanChoice::kAuto ||
-       req.plan == core::PlanChoice::kBoundsThenRefine)) {
-    if (!req.window.has_contiguous_times()) {
-      // The executor would fall back to per-chain planning; a forced
-      // bound plan records the fallback exactly once at merge.
-      add_fallback = req.plan == core::PlanChoice::kBoundsThenRefine;
-      pinned = core::PlanChoice::kAutoPerChain;
-    } else if (req.plan == core::PlanChoice::kAuto) {
-      // Census via the lock-free mirrors: this submit-path loop runs
-      // without the shard's ingest lock, and reading an object's history
-      // directly would race a concurrent append. Without a filter it
-      // reads per-chain counts, O(chains).
-      std::map<ChainId, uint32_t> load_map;
-      for (uint32_t s = 0; s < num_shards; ++s) {
-        const core::Database& shard_db = sharded_->shard(s);
-        for (ChainId c = 0; !filtered && c < shard_db.num_chains(); ++c) {
-          if (const uint32_t n = shard_db.single_observation_count(c)) {
-            load_map[sharded_->global_chain(s, c)] += n;
-          }
-        }
-        for (ObjectId local : filters[s]) {  // empty without a filter
-          if (shard_db.object_needs_multi_engine(local)) continue;
-          ++load_map[sharded_->global_chain(s, shard_db.object(local).chain)];
+      req.plan == core::PlanChoice::kAuto &&
+      req.window.has_contiguous_times()) {
+    // Census via the lock-free mirrors: this submit-path loop runs
+    // without the shard's ingest lock, and reading an object's history
+    // directly would race a concurrent append. Without a filter it reads
+    // per-chain counts, O(chains).
+    std::map<ChainId, uint32_t> load_map;
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      const core::Database& shard_db = sharded_->shard(s);
+      for (ChainId c = 0; !filtered && c < shard_db.num_chains(); ++c) {
+        if (const uint32_t n = shard_db.single_observation_count(c)) {
+          load_map[sharded_->global_chain(s, c)] += n;
         }
       }
-      std::vector<core::ChainLoad> loads;
-      loads.reserve(load_map.size());
-      for (const auto& [chain, count] : load_map) {
-        loads.push_back({chain, count});
+      for (ObjectId local : filters[s]) {  // empty without a filter
+        if (shard_db.object_needs_multi_engine(local)) continue;
+        ++load_map[sharded_->global_chain(s, shard_db.object(local).chain)];
       }
-      const core::QueryPlanner planner(&sharded_->routing_db());
-      const core::PlanDecision decision =
-          planner.ChooseThresholdPlan(req.window, req.plan, loads);
-      pinned = decision.plan == core::Plan::kBoundsThenRefine
-                   ? core::PlanChoice::kBoundsThenRefine
-                   : core::PlanChoice::kAutoPerChain;
     }
+    std::vector<core::ChainLoad> loads;
+    loads.reserve(load_map.size());
+    for (const auto& [chain, count] : load_map) {
+      loads.push_back({chain, count});
+    }
+    const core::QueryPlanner planner(&sharded_->routing_db());
+    const core::PlanDecision decision =
+        planner.ChooseThresholdPlan(req.window, req.plan, loads);
+    pinned = decision.plan == core::Plan::kBoundsThenRefine
+                 ? core::PlanChoice::kBoundsThenRefine
+                 : core::PlanChoice::kAutoPerChain;
   }
-  gather->add_bound_fallback = add_fallback;
 
   const auto make_sub = [&](uint32_t s) {
     SubRoute sub;
@@ -586,6 +548,13 @@ util::Status QueryService::BuildRoute(
     // Empty database or empty filter: one empty sub against shard 0
     // produces the executor's empty result (and its stats) verbatim.
     gather->subs.push_back(make_sub(0));
+  }
+  // The executor's admission check, over each shard's translated sub.
+  // Reading an object's chain races no append: appends touch only its
+  // observation history.
+  for (const SubRoute& sub : gather->subs) {
+    USTDB_RETURN_NOT_OK(
+        core::ValidateRequest(sharded_->shard(sub.shard), sub.request));
   }
 
   gather->results.resize(gather->subs.size());
@@ -849,7 +818,10 @@ std::vector<QueryTicket> QueryService::Admit(
   }
   for (size_t i = 0; i < n; ++i) {
     verdicts[i] = InjectServicePoint(util::FaultPoint::kQueueAdmission);
-    if (verdicts[i].ok()) verdicts[i] = BuildRoute(states[i], &gathers[i]);
+    if (verdicts[i].ok()) {
+      verdicts[i] = BuildRoute(states[i]->request, &gathers[i]);
+    }
+    if (verdicts[i].ok()) gathers[i]->parent = states[i];
   }
   CheckWatchdogs(Clock::now());
 
@@ -981,33 +953,22 @@ void QueryService::Dispatch(uint32_t shard, std::vector<ShardTask> taken) {
   }
   // Resolve entries that went stale while queued without paying for
   // engines: cancel-before-dequeue and expire-in-queue land here.
-  const Clock::time_point now = Clock::now();
   std::vector<ShardTask> runnable;
   runnable.reserve(taken.size());
   for (ShardTask& task : taken) {
-    const TicketState& parent = *task.gather->parent;
-    const core::QueryRequest& sub =
-        task.gather->subs[task.sub_index].request;
-    if (parent.cancel.stop_requested()) {
-      CompleteSub(task.gather, task.sub_index,
-                  util::Status::Cancelled("query cancelled while queued"),
-                  shard);
-      continue;
-    }
-    if (sub.deadline.has_value() && now >= *sub.deadline) {
-      CompleteSub(task.gather, task.sub_index,
-                  util::Status::DeadlineExceeded(
-                      "query deadline passed while queued"),
-                  shard);
+    util::Status stale =
+        core::CheckNotStopped(task.gather->subs[task.sub_index].request);
+    if (!stale.ok()) {
+      CompleteSub(task.gather, task.sub_index, std::move(stale), shard);
       continue;
     }
     runnable.push_back(std::move(task));
   }
   if (runnable.empty()) return;
 
-  // Queue-wait accounting per runnable entry, reusing the staleness
-  // check's clock read: aggregate histogram, exact kQueue span for the
-  // traced few.
+  // Queue-wait accounting per runnable entry: aggregate histogram, exact
+  // kQueue span for the traced few.
+  const Clock::time_point now = Clock::now();
   ShardLane& lane = *shards_[shard];
   bool any_traced = false;
   for (const ShardTask& task : runnable) {
@@ -1128,11 +1089,17 @@ void QueryService::RunMerges(uint32_t shard) {
 
 void QueryService::MergeAndResolve(
     const std::shared_ptr<GatherState>& gather, uint32_t shard) {
-  const std::shared_ptr<obs::QueryTrace>& trace =
-      gather->parent->request.trace;
+  const core::QueryRequest& req = gather->parent->request;
+  const std::shared_ptr<obs::QueryTrace>& trace = req.trace;
   const Clock::time_point m0 =
       trace != nullptr ? Clock::now() : Clock::time_point();
   const auto finish = [&](util::Result<core::QueryResult> outcome) {
+    // As the executor's final check: no answer is returned after its
+    // deadline, however long the merge took.
+    if (outcome.ok() && req.deadline.has_value() &&
+        Clock::now() >= *req.deadline) {
+      outcome = util::Status::DeadlineExceeded("query deadline exceeded");
+    }
     if (trace != nullptr) {
       trace->Record(obs::Stage::kMerge, m0, Clock::now(),
                     static_cast<int32_t>(shard));
@@ -1186,10 +1153,7 @@ void QueryService::MergeAndResolve(
     // partial) answer reflects.
     merged.epoch = std::max(merged.epoch, slot->value().epoch);
   }
-  if (gather->add_bound_fallback) ++merged.stats.prune.bound_fallbacks;
 
-  const core::QueryRequest& req = gather->parent->request;
-  const auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
   // Bounds-only (degraded) sub answers of any predicate carry their
   // undecided intervals under shard-local ids.
   for (size_t i = 0; i < gather->subs.size(); ++i) {
@@ -1201,7 +1165,8 @@ void QueryService::MergeAndResolve(
            entry.lo, entry.hi});
     }
   }
-  std::sort(merged.undecided.begin(), merged.undecided.end(), by_id);
+  std::sort(merged.undecided.begin(), merged.undecided.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
   // A degraded position answer leaves every position unfilled, exactly
   // like a failed shard's; both are compacted away.
   const bool compact = partial || merged.degraded_bounds;
@@ -1219,12 +1184,8 @@ void QueryService::MergeAndResolve(
     case core::PredicateKind::kTopKExists: {
       // Id translation: these answers carry shard-local ids in local
       // order. Translate, then restore the executor's order over GLOBAL
-      // ids — ascending for threshold (after a rebalance migration local
-      // order need not be a contiguous global range, so concatenation is
-      // not enough), and for top-k the comparator (probability desc,
-      // global id asc), a strict total order over unique ids, so the
-      // truncated prefix is bit-identical to the unsharded partial_sort
-      // no matter how objects were placed.
+      // ids (after a rebalance migration local order need not be a
+      // contiguous global range, so concatenation is not enough).
       for (size_t i = 0; i < gather->subs.size(); ++i) {
         if (!gather->results[i]->ok()) continue;
         for (const core::ObjectProbability& entry :
@@ -1234,20 +1195,7 @@ void QueryService::MergeAndResolve(
                entry.probability});
         }
       }
-      std::vector<core::ObjectProbability>& answer = merged.probabilities;
-      if (req.predicate == core::PredicateKind::kThresholdExists) {
-        std::sort(answer.begin(), answer.end(), by_id);
-      } else {
-        std::sort(answer.begin(), answer.end(),
-                  [](const core::ObjectProbability& a,
-                     const core::ObjectProbability& b) {
-                    if (a.probability != b.probability) {
-                      return a.probability > b.probability;
-                    }
-                    return a.id < b.id;
-                  });
-        answer.resize(std::min<size_t>(req.k, answer.size()));
-      }
+      core::OrderAnswer(req, &merged.probabilities);
       break;
     }
   }
@@ -1444,7 +1392,9 @@ util::Result<Subscription> QueryService::Subscribe(
   if (callback == nullptr) {
     return util::Status::InvalidArgument("subscription callback is null");
   }
-  USTDB_RETURN_NOT_OK(ValidateRequest(request));
+  // Refuse what Submit would refuse at routing; the route is dropped.
+  std::shared_ptr<GatherState> route;
+  USTDB_RETURN_NOT_OK(BuildRoute(request, &route));
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stopping_) {

@@ -391,11 +391,13 @@ class QueryService {
   /// and results speak GLOBAL ids; the router translates to shard-local
   /// ids on the way in and back on the way out. Results are
   /// bit-identical to a QueryExecutor over the unsharded database: for
-  /// kThresholdExists under kAuto the router makes the whole-request
-  /// bounds-vs-per-chain decision once, globally, against
-  /// db->routing_db(), and pins the outcome (kBoundsThenRefine or
+  /// kThresholdExists under kAuto over a contiguous window the router
+  /// makes the whole-request bounds-vs-per-chain decision once, globally,
+  /// against db->routing_db(), and pins the outcome (kBoundsThenRefine or
   /// kAutoPerChain) on every sub-request, so no shard re-decides from a
-  /// partial view.
+  /// partial view. Admission, stale-entry checks and answer order are the
+  /// executor's own rules (core::ValidateRequest, core::CheckNotStopped,
+  /// core::OrderAnswer), applied per sub-request or to the merged answer.
   /// \param db the sharded database to serve; must outlive the service.
   /// \param options queue, backpressure, coalescing, and executor knobs.
   explicit QueryService(const core::ShardedDatabase* db,
@@ -417,7 +419,8 @@ class QueryService {
   /// \brief Enqueues `request` and returns its ticket. The request's own
   /// cancel token (if any) is linked beneath the ticket's, so either can
   /// stop it. A request whose deadline has already passed resolves
-  /// immediately with Status::DeadlineExceeded; a full lane either rejects
+  /// immediately with Status::DeadlineExceeded, as does one whose deadline
+  /// passes before its merged answer resolves; a full lane either rejects
   /// (Status::Unavailable) or blocks, per BackpressurePolicy; after
   /// Shutdown() every submission resolves with Status::Unavailable. An
   /// object_filter referencing an id outside the database (the router
@@ -544,16 +547,12 @@ class QueryService {
   /// every refused request before returning.
   std::vector<QueryTicket> Admit(std::vector<core::QueryRequest> requests,
                                  Priority priority, bool allow_block);
-  /// The admission check shared by BuildRoute and Subscribe: every
-  /// object_filter id is in range, and the window is over the state space
-  /// of every chain the request evaluates (core::CheckWindowDomain) —
-  /// each chain holding objects without a filter (O(chains)), each
-  /// filtered object's chain with one (O(filter)).
-  util::Status ValidateRequest(const core::QueryRequest& request) const;
   /// Builds the gather (sub-requests, merge metadata, plan pinning) for
-  /// one prepared parent. Returns non-OK — without touching any queue —
-  /// when the request cannot be routed (ValidateRequest).
-  util::Status BuildRoute(const std::shared_ptr<internal::TicketState>& state,
+  /// `request`; the caller attaches the parent ticket. Returns non-OK —
+  /// without touching any queue — when the request cannot be routed: a
+  /// filter id outside the database, or a sub-request its shard's
+  /// executor would refuse (core::ValidateRequest).
+  util::Status BuildRoute(const core::QueryRequest& request,
                           std::shared_ptr<internal::GatherState>* out) const;
   /// Appends every sub of `gather` to its target lane under `lock`,
   /// honoring capacity/backpressure all-or-nothing. Returns non-OK

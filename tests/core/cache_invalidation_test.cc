@@ -1,9 +1,10 @@
 // Incremental cache invalidation precision: an append invalidates exactly
-// the cached entries derived from the mutated object's chain (and its
-// cluster's bound stores) — untouched chains keep their hit rate, the
-// cache is never flushed wholesale, stale-epoch entries are never served
-// (post-append answers are bit-identical to a cold executor's), and
-// QueryResult::epoch names the data version an answer reflects.
+// the cached backward passes over the mutated object's chain — untouched
+// chains keep their hit rate, cluster envelopes and bound passes (which
+// depend on no observation) keep theirs, the cache is never flushed
+// wholesale, stale-epoch entries are never served (post-append answers
+// are bit-identical to a cold executor's), and QueryResult::epoch names
+// the data version an answer reflects.
 
 #include <gtest/gtest.h>
 
@@ -170,14 +171,16 @@ TEST(CacheInvalidationTest, ClusterBoundStoresInvalidatePerCluster) {
                       {/*time=*/1, RandomDistribution(kStates, kStates, &rng)})
                   .ok());
 
-  // Cluster A's envelope + bound pass (and chain A's refine pass) go
-  // stale; cluster B's bound entries still hit.
+  // Chain A's refine pass goes stale; every cluster's envelope and bound
+  // pass, A's included, still hits: they depend only on the member chains
+  // and the window, which the append left alone.
   const EngineCacheStats before = exec.cache_stats();
   auto after_run = exec.Run(request);
   ASSERT_TRUE(after_run.ok()) << after_run.status();
   const EngineCacheStats after = exec.cache_stats();
   EXPECT_GT(after.invalidations, before.invalidations);
   EXPECT_GT(after.bound_hits, before.bound_hits);
+  EXPECT_EQ(after.bound_misses, before.bound_misses);
 
   // Correctness after the partial invalidation: bit-identical to a cold
   // executor on the mutated database.

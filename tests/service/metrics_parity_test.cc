@@ -7,6 +7,8 @@
 // ServiceStats field, every ustdb_exec_cache_events_total kind summed over
 // shards must equal ServiceStats::cache, and the gauges must be exact at
 // the snapshot instant. Counter totals outlive the service; gauges do not.
+// A bound-plan fallback is counted by every shard executor that falls
+// back, once per request in the answer's stats.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +20,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/executor.h"
 #include "core/query_request.h"
 #include "core/query_window.h"
 #include "obs/metrics.h"
 #include "service/query_service.h"
+#include "sparse/index_set.h"
 #include "testing/sharded_fixture.h"
 #include "util/fault_injector.h"
 
@@ -356,6 +360,45 @@ TEST_P(MetricsParityTest, ExportedSeriesEqualServiceStats) {
         "ustdb_subscriptions_active"}) {
     EXPECT_EQ(FindFamily(after, gauge), nullptr) << gauge;
   }
+}
+
+/// A forced bound plan over times {2, 4, 6}, which no bound pass covers:
+/// the answer reports one fallback, as a bare executor over the unsharded
+/// database does, and ustdb_prune_bound_fallbacks_total counts one per
+/// shard executor that ran a sub.
+TEST_P(MetricsParityTest, BoundFallbackCountedByEveryShardExecutor) {
+  const uint32_t num_shards = GetParam();
+  const ShardedSpec spec;
+  ShardedPair pair = MakeShardedPair(spec, num_shards);
+  core::QueryRequest request = Threshold(spec);
+  request.plan = core::PlanChoice::kBoundsThenRefine;
+  request.window =
+      core::QueryWindow::Create(
+          sparse::IndexSet::FromRange(spec.num_states, 4, 18).ValueOrDie(),
+          {2, 4, 6})
+          .ValueOrDie();
+
+  core::QueryExecutor bare(&pair.unsharded, {.num_threads = 1});
+  ASSERT_TRUE(bare.Run(request).ok());
+  ASSERT_EQ(bare.last_run_stats().prune.bound_fallbacks, 1u);
+
+  obs::MetricsRegistry registry;
+  ServiceOptions options;
+  options.executor.num_threads = 2;
+  options.obs.registry = &registry;
+  QueryService service(&pair.sharded, options);
+  const auto answer = service.Submit(request).Get();
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer.value().stats.prune.bound_fallbacks, 1u);
+
+  // Every shard holding objects runs one sub of the unfiltered request.
+  uint32_t subs = 0;
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    if (pair.sharded.shard(s).num_objects() > 0) ++subs;
+  }
+  ASSERT_EQ(subs, num_shards);
+  EXPECT_EQ(Sum(registry.Snapshot(), "ustdb_prune_bound_fallbacks_total"),
+            static_cast<double>(subs));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, MetricsParityTest,

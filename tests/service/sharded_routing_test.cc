@@ -6,7 +6,8 @@
 // policies, and the scatter counters in ServiceStats account routed
 // fan-out exactly. Merges are shared: a burst whose last subs land on
 // one shard is merged by every dispatcher, also across Pause and
-// Shutdown.
+// Shutdown. A merge that ends past the request's deadline returns no
+// answer.
 
 #include <gtest/gtest.h>
 
@@ -278,6 +279,23 @@ TEST_F(ShardedRoutingTest, CancelReachesEveryShardSubtask) {
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.solo_dispatches + stats.coalesced_batches, 0u)
       << "a cancelled scatter must not reach any shard executor";
+}
+
+/// No answer after the deadline, through the merge: the subs answer well
+/// within the deadline, the merge stalls well past it, and the request
+/// resolves DeadlineExceeded, as the executor's final check would.
+TEST_F(ShardedRoutingTest, MergePastTheDeadlineReturnsNoAnswer) {
+  QueryService service(&pair_.sharded, ServiceOptions{});
+  util::ScopedFaultInjection scope(
+      util::FaultInjector::Parse("merge:stall:1000ms", 1).ValueOrDie());
+  core::QueryRequest request = ExistsRequest(spec_);
+  request.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+
+  const auto got = service.Submit(request).Get();
+  EXPECT_EQ(got.status().code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(service.stats().deadline_expired, 1u);
+  EXPECT_EQ(service.stats().completed, 0u);
 }
 
 /// A four-shard service under `shard3:stall:50ms;merge:stall:20ms`: shard
