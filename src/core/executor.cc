@@ -451,8 +451,20 @@ util::Status CheckNotStopped(const QueryRequest& request) {
   return util::Status::OK();
 }
 
-void OrderAnswer(const QueryRequest& request,
-                 std::vector<ObjectProbability>* answer) {
+util::Status CheckDeadlineAt(const QueryRequest& request,
+                             std::chrono::steady_clock::time_point now) {
+  if (request.deadline.has_value() && now >= *request.deadline) {
+    return StopStatus(StopReason::kDeadline);
+  }
+  return util::Status::OK();
+}
+
+void OrderAnswer(const QueryRequest& request, QueryResult* result) {
+  std::sort(result->undecided.begin(), result->undecided.end(),
+            [](const ObjectInterval& a, const ObjectInterval& b) {
+              return a.id < b.id;
+            });
+  std::vector<ObjectProbability>* answer = &result->probabilities;
   if (request.predicate == PredicateKind::kThresholdExists) {
     std::sort(answer->begin(), answer->end(),
               [](const ObjectProbability& a, const ObjectProbability& b) {
@@ -612,9 +624,7 @@ util::Result<QueryResult> QueryExecutor::RunDegradedBounds(
   for (ObjectId id : unbounded) {
     result.undecided.push_back({id, 0.0, 1.0});
   }
-  OrderAnswer(request, &result.probabilities);
-  std::sort(result.undecided.begin(), result.undecided.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
+  OrderAnswer(request, &result);
   return result;
 }
 
@@ -737,7 +747,7 @@ void QueryExecutor::AssembleExistsResult(const QueryRequest& request,
     case PredicateKind::kKTimes:
       break;  // handled by the k-times path
   }
-  OrderAnswer(request, &result->probabilities);
+  OrderAnswer(request, result);
 }
 
 void QueryExecutor::EvaluateKTimesRange(
@@ -1476,15 +1486,12 @@ std::vector<util::Result<QueryResult>> QueryExecutor::RunBatchImpl(
   // Final stop check: an answer is never returned after its deadline. A
   // member whose deadline passed while the batch finished (admission runs
   // after evaluation and may stall) resolves DeadlineExceeded.
-  std::optional<SClock::time_point> done;
+  const SClock::time_point done = SClock::now();
   for (size_t i = 0; i < requests.size(); ++i) {
     if (!results[i].ok()) continue;
-    if (const auto& deadline = requests[i].deadline; deadline.has_value()) {
-      if (!done.has_value()) done = SClock::now();
-      if (*done >= *deadline) {
-        results[i] = StopStatus(StopReason::kDeadline);
-        continue;
-      }
+    if (util::Status late = CheckDeadlineAt(requests[i], done); !late.ok()) {
+      results[i] = std::move(late);
+      continue;
     }
     results[i]->epoch = run_epoch;
   }

@@ -28,6 +28,7 @@
 #ifndef USTDB_CORE_EXECUTOR_H_
 #define USTDB_CORE_EXECUTOR_H_
 
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <span>
@@ -85,14 +86,21 @@ util::Status ValidateRequest(const Database& db, const QueryRequest& request);
 /// sub-request, so a stale request never pays for an engine.
 util::Status CheckNotStopped(const QueryRequest& request);
 
-/// \brief Puts `answer` in the order of request.predicate:
-/// kThresholdExists by ascending id; kTopKExists by descending probability,
-/// ties by ascending id, truncated to request.k. Other predicates keep
-/// their evaluation order. The executor orders its answers with it and the
+/// \brief kDeadlineExceeded if request.deadline has passed at `now`, else
+/// OK: the final check before an answer is returned, so none is returned
+/// after its deadline. RunBatch applies it to every answered member, the
+/// service's merge to every merged answer.
+util::Status CheckDeadlineAt(const QueryRequest& request,
+                             std::chrono::steady_clock::time_point now);
+
+/// \brief Puts `result` in the answer order of request.predicate:
+/// `undecided` by ascending id; `probabilities` of kThresholdExists by
+/// ascending id, of kTopKExists by descending probability, ties by
+/// ascending id, truncated to request.k. Other predicates keep their
+/// evaluation order. The executor orders its answers with it and the
 /// service's merge re-orders the shards' combined answers with it, so a
 /// sharded answer is ordered exactly like an unsharded one.
-void OrderAnswer(const QueryRequest& request,
-                 std::vector<ObjectProbability>* answer);
+void OrderAnswer(const QueryRequest& request, QueryResult* result);
 
 /// \brief Plans and executes QueryRequests over one Database.
 ///

@@ -1094,11 +1094,13 @@ void QueryService::MergeAndResolve(
   const Clock::time_point m0 =
       trace != nullptr ? Clock::now() : Clock::time_point();
   const auto finish = [&](util::Result<core::QueryResult> outcome) {
-    // As the executor's final check: no answer is returned after its
+    // The executor's final check: no answer is returned after its
     // deadline, however long the merge took.
-    if (outcome.ok() && req.deadline.has_value() &&
-        Clock::now() >= *req.deadline) {
-      outcome = util::Status::DeadlineExceeded("query deadline exceeded");
+    if (outcome.ok()) {
+      if (util::Status late = core::CheckDeadlineAt(req, Clock::now());
+          !late.ok()) {
+        outcome = std::move(late);
+      }
     }
     if (trace != nullptr) {
       trace->Record(obs::Stage::kMerge, m0, Clock::now(),
@@ -1165,8 +1167,6 @@ void QueryService::MergeAndResolve(
            entry.lo, entry.hi});
     }
   }
-  std::sort(merged.undecided.begin(), merged.undecided.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
   // A degraded position answer leaves every position unfilled, exactly
   // like a failed shard's; both are compacted away.
   const bool compact = partial || merged.degraded_bounds;
@@ -1183,9 +1183,9 @@ void QueryService::MergeAndResolve(
     case core::PredicateKind::kThresholdExists:
     case core::PredicateKind::kTopKExists: {
       // Id translation: these answers carry shard-local ids in local
-      // order. Translate, then restore the executor's order over GLOBAL
-      // ids (after a rebalance migration local order need not be a
-      // contiguous global range, so concatenation is not enough).
+      // order. Translate; OrderAnswer below restores the executor's order
+      // over GLOBAL ids (after a rebalance migration local order need not
+      // be a contiguous global range, so concatenation is not enough).
       for (size_t i = 0; i < gather->subs.size(); ++i) {
         if (!gather->results[i]->ok()) continue;
         for (const core::ObjectProbability& entry :
@@ -1195,10 +1195,10 @@ void QueryService::MergeAndResolve(
                entry.probability});
         }
       }
-      core::OrderAnswer(req, &merged.probabilities);
       break;
     }
   }
+  core::OrderAnswer(req, &merged);
   if (partial) {
     // Label the answer: which shards failed with what, and which objects
     // therefore went unanswered. Per-shard positions name the parent's

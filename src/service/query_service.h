@@ -395,9 +395,10 @@ class QueryService {
   /// makes the whole-request bounds-vs-per-chain decision once, globally,
   /// against db->routing_db(), and pins the outcome (kBoundsThenRefine or
   /// kAutoPerChain) on every sub-request, so no shard re-decides from a
-  /// partial view. Admission, stale-entry checks and answer order are the
-  /// executor's own rules (core::ValidateRequest, core::CheckNotStopped,
-  /// core::OrderAnswer), applied per sub-request or to the merged answer.
+  /// partial view. Admission, stale-entry checks, the final deadline check
+  /// and answer order are the executor's own rules (core::ValidateRequest,
+  /// core::CheckNotStopped, core::CheckDeadlineAt, core::OrderAnswer),
+  /// applied per sub-request or to the merged answer.
   /// \param db the sharded database to serve; must outlive the service.
   /// \param options queue, backpressure, coalescing, and executor knobs.
   explicit QueryService(const core::ShardedDatabase* db,
